@@ -12,6 +12,7 @@ branches applied to the origin yields the exact rational convergents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .errors import (
     InvalidDigit,
     PrecisionExhausted,
 )
-from .lft import LftParams, apply_inverse, certify_hyperbolic, iota
+from .lft import LftParams, apply_inverse, certify_hyperbolic, inverse_matrix, iota
 from .padic_core import (
     INF,
     PadicApprox,
@@ -493,6 +494,41 @@ def convergent(spec: SystemSpec, digits):
         cert = certify_hyperbolic(f)
         vec = apply_inverse(f, vec, cert)
     return vec[0] if spec.kind == ONE_DIM else vec
+
+
+def _integral(matrix):
+    """The same projective map with integer entries, scaled by the lcm of the
+    denominators, so that products need no gcd per entry."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix)
+
+
+def _compose(a, b):
+    """Matrix product a*b, skipping the zero entries of b (every column of a
+    branch matrix but the first has a single nonzero entry)."""
+    size = len(b)
+    cols = [[(k, b[k][c]) for k in range(size) if b[k][c]] for c in range(size)]
+    return tuple(tuple(sum(row[k] * x for k, x in col) for col in cols) for row in a)
+
+
+def convergents(spec: SystemSpec, digits):
+    """Yield convergent(spec, digits[:j]) for j = 1, 2, ..., in turn.
+
+    Carries the composed inverse branch M_1*...*M_j as one homogeneous
+    matrix and right-multiplies it by each new branch matrix, so every row
+    costs one branch instead of j.  The convergent, the image of the origin
+    e_0, is column 0 divided by its entry 0.  Digits are validated one by
+    one, so an invalid digit raises after the rows before it.
+    """
+    carried = None
+    for d in digits:
+        f = branch_lft(spec, d)
+        certify_hyperbolic(f)
+        branch = _integral(inverse_matrix(f))
+        carried = branch if carried is None else _compose(carried, branch)
+        x0 = carried[0][0]
+        vec = tuple(Fraction(row[0], x0) for row in carried[1:])
+        yield vec[0] if spec.kind == ONE_DIM else vec
 
 
 def digit_functionals(d: Digit1D) -> tuple[Fraction, int]:

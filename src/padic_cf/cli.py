@@ -18,7 +18,7 @@ from . import cfsystems, ergodics
 from .cfsystems import (
     Digit1D,
     SystemSpec,
-    convergent,
+    convergents,
     digit_from_obj,
     digit_to_obj,
     enumerate_branches,
@@ -52,6 +52,17 @@ def _parse_ell(s: str):
         raise CliError(f"invalid --l value {s!r}")
     if v < 0:
         raise CliError("--l must be >= 0 or 'inf'")
+    return v
+
+
+def _count(s: str) -> int:
+    """argparse type for counts that must be >= 1; argparse prefixes the flag."""
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
     return v
 
 
@@ -139,8 +150,13 @@ def cmd_convergents(args, out) -> int:
             obj = json.loads(line)
         except json.JSONDecodeError:
             raise CliError(f"invalid digit record: {line!r}")
+        if not isinstance(obj, dict):
+            raise CliError(f"invalid digit record: {line!r}")
         if "digit" in obj:
-            digits.append(digit_from_obj(obj["digit"]))
+            try:
+                digits.append(digit_from_obj(obj["digit"]))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                raise CliError(f"invalid digit record: {line!r}")
         elif "status" in obj:
             continue
         else:
@@ -148,10 +164,9 @@ def cmd_convergents(args, out) -> int:
     point = None
     if args.point is not None:
         point = _parse_point(spec, args.point, args.seed)
-    for j in range(1, len(digits) + 1):
-        vec = convergent(spec, digits[:j])
+    for j, vec in enumerate(convergents(spec, digits)):
         coords = vec if isinstance(vec, tuple) else (vec,)
-        cols = [str(j - 1), " ".join(format_rational(c) for c in coords)]
+        cols = [str(j), " ".join(format_rational(c) for c in coords)]
         if point is not None:
             pt = point if isinstance(point, tuple) else (point,)
             ords = []
@@ -307,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, default=None, help="dimension")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--precision", type=int, default=None, help="digits for random points")
-        sp.add_argument("--steps", type=int, default=32)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--steps", type=_count, default=32)
+        sp.add_argument("--threads", type=_count, default=1)
 
     sp_expand = sub.add_parser("expand", help="emit the digit stream of a point")
     common(sp_expand)
@@ -335,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["digit-means", "iota-sum", "mixing", "invariance"],
     )
-    sp_stats.add_argument("--samples", type=int, default=2000)
+    sp_stats.add_argument("--samples", type=_count, default=2000)
     sp_stats.add_argument("--bound", default=None, help="iota bound, e.g. 2^20")
     sp_stats.add_argument("--wordA", default=None)
     sp_stats.add_argument("--wordB", default=None)
     sp_stats.add_argument("--n", type=int, default=1, help="iterate count for mixing")
-    sp_stats.add_argument("--cylinders", type=int, default=20)
+    sp_stats.add_argument("--cylinders", type=_count, default=20)
     sp_stats.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
 

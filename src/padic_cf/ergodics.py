@@ -230,24 +230,6 @@ def digit_mean_reports(
     return reports[0], reports[1]
 
 
-def birkhoff_average(
-    spec: SystemSpec,
-    functional: str,
-    n_samples: int,
-    n_steps: int,
-    seed: int,
-    precision: int | None = None,
-    threads: int = 1,
-) -> StatReport:
-    """Monte Carlo mean of one digit observable ('a' or 'b')."""
-    if functional not in ("a", "b"):
-        raise ValueError("functional must be 'a' or 'b'")
-    rep_a, rep_b = digit_mean_reports(
-        spec, n_samples, n_steps, seed, precision=precision, threads=threads
-    )
-    return rep_a if functional == "a" else rep_b
-
-
 def _cylinder_mc(
     spec: SystemSpec,
     c: ProductCylinder,

@@ -226,6 +226,34 @@ def apply_inverse(f: LftParams, ys, cert: HyperbolicCert | None = None) -> tuple
     return tuple(out)
 
 
+def inverse_matrix(f: LftParams) -> tuple[tuple[Fraction, ...], ...]:
+    """Homogeneous (m+1)x(m+1) matrix of the inverse branch.
+
+    With y = (Y_1/Y_0, ..., Y_m/Y_0) and X = M Y, the image x_k = X_k/X_0 is
+    apply_inverse(f, y):
+
+        X_0 = Y_s + q_s*Y_0,   X_i = p_s*Y_0,
+        X_k = (p_s/p_t)*(Y_t + q_t*Y_0)   for k != i, t = sigma^{-1}(k).
+
+    Composing inverse branches is multiplying their matrices.
+    """
+    m = f.m
+    s = f.s
+    ps = f.pvec[s - 1]
+    rows = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    rows[0][0] = f.qvec[s - 1]
+    rows[0][s] = Fraction(1)
+    for k in range(1, m + 1):
+        if k == f.i:
+            rows[k][0] = ps
+        else:
+            t = f.sigma_inv(k)
+            ratio = ps / f.pvec[t - 1]
+            rows[k][t] = ratio
+            rows[k][0] = ratio * f.qvec[t - 1]
+    return tuple(tuple(row) for row in rows)
+
+
 def sufficient_hyperbolic(f: LftParams, witness) -> bool:
     """Image test: does the branch map the witness into (p*Z_p)^m?
 

@@ -21,7 +21,7 @@ from padic_cf import (
     apply_forward,
     apply_inverse,
     certify_hyperbolic,
-    convergent,
+    convergents,
     digit_mean_reports,
     enumerate_branches,
     expand,
@@ -131,8 +131,7 @@ def test_criterion_3_convergence_rate():
             x = xs if spec.m > 1 else xs[0]
             e = expand(spec, x, 10**9)
             samples += 1
-            for j in range(1, len(e.digits) + 1):
-                pi = convergent(spec, e.digits[:j])
+            for j, pi in enumerate(convergents(spec, e.digits), start=1):
                 pis = pi if isinstance(pi, tuple) else (pi,)
                 computable = True
                 for coord, approx in zip(pis, xs):

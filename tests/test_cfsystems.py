@@ -16,6 +16,7 @@ from padic_cf import (
     apply_forward,
     branch_lft,
     convergent,
+    convergents,
     digit_class,
     digit_functionals,
     digit_values,
@@ -443,3 +444,46 @@ class TestSerialization:
         recs = list(expansion_records(s, e))
         assert recs[0] == {"j": 0, "digit": {"k": 1, "v": "1/1"}, "ord_consumed": 1}
         assert len(recs) == 2
+
+
+class TestConvergentsGenerator:
+    """The carried-matrix generator against the per-prefix reference."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SystemSpec.schneider(P2),
+            SystemSpec.ruban(P3),
+            SystemSpec.one_dim(P3, 1),
+            SystemSpec.multi_dim(P3, 1, 3),
+            SystemSpec.jacobi_perron(P2, 2),
+            SystemSpec.brun(P3, 2),
+        ],
+        ids=["schneider", "ruban", "t1", "tlm-l1-m3", "jp-m2", "brun-m2"],
+    )
+    def test_matches_per_prefix_convergent(self, spec):
+        rng = random.Random(41)
+        pivots = set()
+        for _ in range(4):
+            xs = haar_sample_vector(spec.ctx, spec.m, 120, rng)
+            e = expand(spec, xs if spec.m > 1 else xs[0], 10**9)
+            assert len(e.digits) >= 10
+            reference = [convergent(spec, e.digits[:j]) for j in range(1, len(e.digits) + 1)]
+            assert list(convergents(spec, e.digits)) == reference
+            pivots.update(getattr(d, "pivot", 1) for d in e.digits)
+        if spec.kind == "brun":
+            assert pivots - {1}, "no Brun digit pivoted off coordinate 1"
+
+    def test_empty_word(self):
+        assert list(convergents(SystemSpec.schneider(P2), ())) == []
+
+    def test_invalid_digit_yields_prefix_then_raises(self):
+        spec = SystemSpec.ruban(P2)
+        e = expand(spec, haar_sample(P2, 120, 5), 6)
+        k = 3
+        word = e.digits[:k] + (Digit1D(1, Fraction(1)),) + e.digits[k:]
+        rows = []
+        with pytest.raises(InvalidDigit):
+            for row in convergents(spec, word):
+                rows.append(row)
+        assert rows == [convergent(spec, word[:j]) for j in range(1, k + 1)]

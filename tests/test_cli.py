@@ -105,6 +105,22 @@ class TestConvergents:
         code, _ = run_cli(["convergents", "--p", "2", "--system", "ruban", str(path)])
         assert code == 2
 
+    def _run_record(self, tmp_path, capsys, line):
+        path = tmp_path / "digits.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        code, out = run_cli(["convergents", "--p", "2", "--system", "schneider", str(path)])
+        assert code == 2 and out == ""
+        assert "invalid digit record" in capsys.readouterr().err
+
+    def test_digit_record_without_fields(self, tmp_path, capsys):
+        self._run_record(tmp_path, capsys, '{"digit":{}}')
+
+    def test_record_not_an_object(self, tmp_path, capsys):
+        self._run_record(tmp_path, capsys, "5")
+
+    def test_digit_not_an_object(self, tmp_path, capsys):
+        self._run_record(tmp_path, capsys, '{"digit":5}')
+
 
 class TestStats:
     def test_iota_sum_golden(self):
@@ -193,6 +209,44 @@ class TestStats:
             else:
                 os.environ.pop("PADIC_CF_SEED", None)
         assert with_env == with_flag
+
+
+class TestArgumentRanges:
+    """Counts below 1 are refused by the parser, with the flag named."""
+
+    def _refused(self, capsys, argv, flag):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
+    def test_negative_steps(self, capsys):
+        self._refused(
+            capsys, ["expand", "--p", "2", "--system", "schneider", "2/3", "--steps", "-3"], "--steps"
+        )
+
+    def test_zero_samples(self, capsys):
+        self._refused(
+            capsys,
+            ["stats", "--p", "3", "--system", "schneider", "--check", "digit-means",
+             "--samples", "0"],
+            "--samples",
+        )
+
+    def test_zero_threads(self, capsys):
+        self._refused(
+            capsys,
+            ["stats", "--p", "3", "--system", "schneider", "--check", "digit-means",
+             "--samples", "10", "--steps", "5", "--threads", "0"],
+            "--threads",
+        )
+
+    def test_zero_cylinders(self, capsys):
+        self._refused(
+            capsys,
+            ["stats", "--p", "2", "--system", "schneider", "--check", "invariance",
+             "--cylinders", "0"],
+            "--cylinders",
+        )
 
 
 class TestBranches:

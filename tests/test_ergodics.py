@@ -18,6 +18,7 @@ from padic_cf import (
     WordTooShort,
     branch_lft,
     convergent,
+    convergents,
     cylinder_measure,
     digit_mean_reports,
     enumerate_branches,
@@ -312,8 +313,7 @@ class TestDiameterBound:
         spec = SystemSpec.schneider(P3)
         x = haar_sample(P3, 150, 15)
         e = expand(spec, x, 12)
-        for j in range(1, len(e.digits) + 1):
-            pi = convergent(spec, e.digits[:j])
+        for j, pi in enumerate(convergents(spec, e.digits), start=1):
             diff = x - pi
             if not diff.is_zero_at_precision:
                 assert diff.valuation() >= j + 1

@@ -17,6 +17,7 @@ from padic_cf import (
     apply_forward,
     apply_inverse,
     certify_hyperbolic,
+    inverse_matrix,
     iota,
     is_hyperbolic,
     measure,
@@ -161,6 +162,19 @@ class TestForwardInverse:
             x = apply_inverse(f, random_point(rng, ctx, m), cert)
             assert valuation(x[f.i - 1], ctx) == cert.v + cert.u
             assert all(valuation(c, ctx) >= 1 for c in x)
+
+    def test_inverse_matrix_matches_apply_inverse(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            m = rng.choice([1, 2, 3])
+            ctx = rng.choice([P2, P3, P5])
+            f = random_hyperbolic(rng, ctx, m)
+            y = random_point(rng, ctx, m)
+            # any nonzero multiple of (1, y) represents y
+            scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+            Y = (scale,) + tuple(scale * c for c in y)
+            X = [sum(a * b for a, b in zip(row, Y)) for row in inverse_matrix(f)]
+            assert tuple(c / X[0] for c in X[1:]) == apply_inverse(f, y)
 
     def test_inverse_requires_small_coordinates(self):
         f = one_dim(P2, 2, 1)
