@@ -13,6 +13,7 @@ branches applied to the origin yields the exact rational convergents.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -216,15 +217,34 @@ def _val_info(x, ctx: PrimeCtx):
     return "ord", valuation(x, ctx)
 
 
+def _depth_split(depth: int, ell) -> tuple[int, int]:
+    """(p-exponent, digit class) of an entry at valuation depth `depth`:
+    (max(depth - ell, 0), min(depth, ell)), which is (0, depth) at ell = inf."""
+    if ell == INF or depth <= ell:
+        return 0, depth
+    return depth - ell, ell
+
+
+def _entry_depth(pexp: int, q, ell, p: int) -> int:
+    """Depth of a digit entry (p-exponent, integral part), the inverse of
+    _depth_split: InvalidDigit unless the pair is _depth_split(depth)."""
+    cls = digit_class(q, p)
+    if cls is None:
+        raise InvalidDigit("integral parts must be admissible digit values")
+    depth = pexp + cls
+    if _depth_split(depth, ell) != (pexp, cls):
+        raise InvalidDigit(f"exponent {pexp} does not fit digit class {cls} at ell = {ell}")
+    return depth
+
+
 def _clamped_exponent(d1: int, ell, other_kind: str, other_val) -> int:
-    """max(d1 - ord(x_other) - ell, 0) with inf-aware handling."""
-    if ell == INF or other_kind == "zero":
+    """p-exponent of a coordinate at depth d1 - ord(x_other) below the pivot."""
+    if other_kind == "zero":
         return 0
-    if other_kind == "min":
-        if d1 - other_val - ell <= 0:
-            return 0
+    r = _depth_split(d1 - other_val, ell)[0]
+    if r and other_kind == "min":
         raise PrecisionExhausted("pivot exponent not determined")
-    return max(d1 - other_val - ell, 0)
+    return r
 
 
 def _invert(x):
@@ -256,7 +276,7 @@ def _step_one_dim(spec: SystemSpec, coords):
         raise ExpansionTerminated("orbit reached exact zero")
     if kind == "min":
         raise PrecisionExhausted("pivot valuation not determined")
-    k = 0 if spec.ell == INF else max(d - spec.ell, 0)
+    k = _depth_split(d, spec.ell)[0]
     w = _shift_pk(_invert(x), k, spec.ctx.p)
     v, nxt = _split(w, spec.ctx)
     return Digit1D(k, v), (nxt,)
@@ -277,7 +297,7 @@ def _step_multi_dim(spec: SystemSpec, coords):
     ys = []
     for k in range(1, m + 1):
         if k == m:
-            r = 0 if spec.ell == INF else max(d1 - spec.ell, 0)
+            r = _depth_split(d1, spec.ell)[0]
             arg = _shift_pk(inv1, r, ctx.p)
         else:
             xk = coords[k]
@@ -348,67 +368,28 @@ def _sigma_cyclic(m: int) -> tuple[int, ...]:
     return tuple(k + 1 for k in range(1, m)) + (1,)
 
 
-def _validate_digit_1d(spec: SystemSpec, d: Digit1D):
-    p = spec.ctx.p
-    if d.k < 0:
-        raise InvalidDigit("k must be >= 0")
-    cls = digit_class(d.v, p)
-    if d.k > 0:
-        if spec.ell == INF:
-            raise InvalidDigit("k > 0 digits do not occur at ell = inf")
-        if cls != spec.ell:
-            raise InvalidDigit(f"v must have digit class {spec.ell}")
-    else:
-        top = spec.ell
-        if cls is None or cls < 1 or (top != INF and cls > top):
-            raise InvalidDigit("k = 0 requires v of class 1..ell")
+def _validate_digit_1d(spec: SystemSpec, d: Digit1D) -> int:
+    """Pivot depth of a one-dimensional digit; InvalidDigit if no step emits it."""
+    depth = _entry_depth(d.k, d.v, spec.ell, spec.ctx.p)
+    if depth < 1:
+        raise InvalidDigit("pivot depth must be >= 1")
+    return depth
 
 
-def _validate_digit_md(spec: SystemSpec, d: DigitMD):
+def _validate_digit_md(spec: SystemSpec, d: DigitMD) -> int:
+    """Pivot depth of a cyclic-family digit; InvalidDigit if no step emits it."""
     p = spec.ctx.p
     m = spec.m
-    ell = spec.ell
     if len(d.pexp) != m or len(d.qvec) != m or d.pivot != 1:
         raise InvalidDigit("malformed digit")
-    if any(r < 0 for r in d.pexp):
-        raise InvalidDigit("exponents must be >= 0")
-    r_m = d.pexp[m - 1]
-    cls_m = digit_class(d.qvec[m - 1], p)
-    if cls_m is None:
-        raise InvalidDigit("pivot integral part must be an admissible digit value")
-    if ell == INF:
-        if any(r != 0 for r in d.pexp):
-            raise InvalidDigit("exponents vanish at ell = inf")
-        if cls_m < 1:
-            raise InvalidDigit("pivot class must be >= 1 at ell = inf")
-        d1 = cls_m
-    elif r_m > 0:
-        if cls_m != ell:
-            raise InvalidDigit(f"pivot class must equal ell = {ell}")
-        d1 = r_m + ell
-    else:
-        if cls_m < 1 or cls_m > ell:
-            raise InvalidDigit("pivot class must be in 1..ell")
-        d1 = cls_m
-    for k in range(1, m):
-        r = d.pexp[k - 1]
-        q = d.qvec[k - 1]
+    d1 = _entry_depth(d.pexp[m - 1], d.qvec[m - 1], spec.ell, p)
+    if d1 < 1:
+        raise InvalidDigit("pivot depth must be >= 1")
+    for r, q in zip(d.pexp[: m - 1], d.qvec[: m - 1]):
         if q == 0:
             if r != 0:
                 raise InvalidDigit("zero integral part forces zero exponent")
-            continue
-        cls = digit_class(q, p)
-        if cls is None:
-            raise InvalidDigit("integral parts must be admissible digit values")
-        if ell == INF or r == 0:
-            delta = cls
-            if ell != INF and cls > ell:
-                raise InvalidDigit("class exceeds ell")
-        else:
-            if cls != ell:
-                raise InvalidDigit("positive exponent forces class ell")
-            delta = r + ell
-        if delta > d1 - 1:
+        elif _entry_depth(r, q, spec.ell, p) > d1 - 1:
             raise InvalidDigit("coordinate depth exceeds pivot depth")
     return d1
 
@@ -456,15 +437,15 @@ def branch_lft(spec: SystemSpec, d) -> LftParams:
 
 
 def pivot_valuation(spec: SystemSpec, d) -> int:
-    """Valuation of the pivot coordinate at the step that emitted this digit."""
-    p = spec.ctx.p
-    if isinstance(d, Digit1D):
-        if d.k > 0:
-            return d.k + spec.ell
-        return digit_class(d.v, p)
+    """Valuation of the pivot coordinate at the step that emitted this digit.
+
+    Raises InvalidDigit for a digit the system cannot emit.
+    """
+    if spec.kind == ONE_DIM:
+        return _validate_digit_1d(spec, d)
     if spec.kind == MULTI_DIM:
-        return d.pexp[spec.m - 1] + digit_class(d.qvec[spec.m - 1], p)
-    return digit_class(d.qvec[d.pivot - 1], p)
+        return _validate_digit_md(spec, d)
+    return digit_class(d.qvec[d.pivot - 1], spec.ctx.p)
 
 
 def expand(spec: SystemSpec, x, max_steps: int) -> Expansion:
@@ -536,64 +517,57 @@ def digit_functionals(d: Digit1D) -> tuple[Fraction, int]:
     return d.v, d.k
 
 
-def _enumerate_one_dim(spec: SystemSpec, iota_bound):
+def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, int, int]]:
+    """(d1, r_m, u, base, max_r) for each pivot depth d1 = 1, 2, ... with a
+    branch of iota <= iota_bound.
+
+    The pivot entry splits as (r_m, u) = _depth_split(d1); a branch whose
+    non-pivot exponents sum to R has iota p**(base - R), and each non-pivot
+    exponent is at most max_r.  The depths stop at the first whose smallest
+    iota exceeds the bound; a one-dimensional system is the case m = 1.
+    """
     p = spec.ctx.p
-    ell = spec.ell
-    out = []
-    d1 = 1
-    while True:
-        if ell == INF:
-            k, cls = 0, d1
-        else:
-            k = max(d1 - ell, 0)
-            cls = min(d1, ell)
-        expo = k + 2 * cls
-        if p**expo > iota_bound:
-            break
-        for v in digit_values(p, cls):
-            out.append(Digit1D(k, v))
-        d1 += 1
-    return out
-
-
-def _md_slot_options(p: int, ell, d1: int):
-    """Options for a non-pivot coordinate: (exponent, q, iota exponent delta)."""
-    yield 0, Fraction(0), 0
-    for delta in range(d1):
-        if ell == INF or delta <= ell:
-            r, cls = 0, delta
-        else:
-            r, cls = delta - ell, ell
-        for q in digit_values(p, cls):
-            yield r, q, -r
-
-
-def _enumerate_multi_dim(spec: SystemSpec, iota_bound):
-    p = spec.ctx.p
-    ell = spec.ell
+    if iota_bound < p:
+        raise ValueError("iota_bound must be at least p")
+    if spec.kind == BRUN:
+        raise NotImplementedError("Brun branches are only observed, not enumerated")
     m = spec.m
     out = []
     d1 = 1
     while True:
-        u = d1 if ell == INF else min(d1, ell)
-        r_m = d1 - u
+        r_m, u = _depth_split(d1, spec.ell)
         base = m * r_m + (m + 1) * u
-        max_r = 0 if ell == INF else max(d1 - 1 - ell, 0)
+        max_r = _depth_split(d1 - 1, spec.ell)[0]
         if p ** (base - (m - 1) * max_r) > iota_bound:
-            break
+            return out
+        out.append((d1, r_m, u, base, max_r))
+        d1 += 1
+
+
+def _enumerate(spec: SystemSpec, iota_bound) -> list:
+    """Digits of every branch with iota <= iota_bound, unsorted."""
+    p = spec.ctx.p
+    out = []
+    for d1, r_m, u, base, max_r in _pivot_classes(spec, iota_bound):
+        if spec.kind == ONE_DIM:
+            out += [Digit1D(r_m, q) for q in digit_values(p, u)]
+            continue
+        options = [(0, Fraction(0))]  # a non-pivot entry: zero, or at depth 0 .. d1-1
+        for delta in range(d1):
+            r, cls = _depth_split(delta, spec.ell)
+            options += [(r, q) for q in digit_values(p, cls)]
         for q_m in digit_values(p, u):
-            partial = [([], [], base)]
-            for _ in range(m - 1):
-                nxt = []
-                for rs, qs, expo in partial:
-                    for r, q, dexp in _md_slot_options(p, ell, d1):
-                        if p ** (expo + dexp - (m - 1 - len(rs) - 1) * max_r) <= iota_bound:
-                            nxt.append((rs + [r], qs + [q], expo + dexp))
-                partial = nxt
+            partial = [((), (), base)]
+            for left in range(spec.m - 2, -1, -1):  # slots left after this one
+                partial = [
+                    (rs + (r,), qs + (q,), expo - r)
+                    for rs, qs, expo in partial
+                    for r, q in options
+                    if p ** (expo - r - left * max_r) <= iota_bound
+                ]
             for rs, qs, expo in partial:
                 if p**expo <= iota_bound:
-                    out.append(DigitMD(tuple(rs) + (r_m,), tuple(qs) + (q_m,), 1))
-        d1 += 1
+                    out.append(DigitMD(rs + (r_m,), qs + (q_m,), 1))
     return out
 
 
@@ -604,16 +578,8 @@ def enumerate_branches(spec: SystemSpec, iota_bound) -> list[tuple]:
     family is not enumerable here (its branch set has no closed form in this
     parameterisation).
     """
-    if iota_bound < spec.ctx.p:
-        raise ValueError("iota_bound must be at least p")
-    if spec.kind == BRUN:
-        raise NotImplementedError("Brun branches are only observed, not enumerated")
-    if spec.kind == ONE_DIM:
-        digits = _enumerate_one_dim(spec, iota_bound)
-    else:
-        digits = _enumerate_multi_dim(spec, iota_bound)
     entries = []
-    for d in digits:
+    for d in _enumerate(spec, iota_bound):
         f = branch_lft(spec, d)
         entries.append((iota(f), d, f))
     if spec.kind == ONE_DIM:
@@ -627,6 +593,35 @@ def enumerate_branches(spec: SystemSpec, iota_bound) -> list[tuple]:
             )
         )
     return [(d, f) for _, d, f in entries]
+
+
+def branch_counts(spec: SystemSpec, iota_bound) -> dict[int, int]:
+    """{e: number of branches with iota = p**e} over the branches with
+    iota <= iota_bound: the counts of enumerate_branches without the branches.
+
+    A class-n digit value has (p-1)*p**n choices, and the non-pivot
+    coordinates choose independently, so their option counts, grouped by
+    p-exponent, multiply.  The cut p**e <= iota_bound is applied per exponent,
+    so a bound that cuts a pivot class partway is still exact.
+    """
+    p = spec.ctx.p
+    counts: Counter[int] = Counter()
+    for d1, _, u, base, _ in _pivot_classes(spec, iota_bound):
+        slot = Counter({0: 1})  # the zero entry
+        for delta in range(d1):
+            r, cls = _depth_split(delta, spec.ell)
+            slot[r] += (p - 1) * p**cls
+        by_sum = Counter({0: (p - 1) * p**u})  # sum of non-pivot exponents -> branches
+        for _ in range(spec.m - 1):
+            nxt: Counter[int] = Counter()
+            for total, n in by_sum.items():
+                for r, c in slot.items():
+                    nxt[total + r] += n * c
+            by_sum = nxt
+        for total, n in by_sum.items():
+            if p ** (base - total) <= iota_bound:
+                counts[base - total] += n
+    return counts
 
 
 # -- digit serialization ------------------------------------------------------

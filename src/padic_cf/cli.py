@@ -8,6 +8,7 @@ missed its tolerance, 2 malformed input or configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -66,12 +67,17 @@ def _count(s: str) -> int:
     return v
 
 
-def _parse_bound(s: str) -> int:
-    s = s.strip()
-    if "^" in s:
-        base, expo = s.split("^", 1)
-        return int(base) ** int(expo)
-    return int(s)
+def _bound(s: str) -> int:
+    """argparse type for an iota bound, N or B^E with integers and E >= 0;
+    argparse prefixes the flag."""
+    base, sep, expo = s.partition("^")
+    try:
+        b, e = int(base), (int(expo) if sep else 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or B^E with integers, got {s!r}")
+    if e < 0:
+        raise argparse.ArgumentTypeError(f"exponent must be >= 0, got {s!r}")
+    return b**e
 
 
 def _build_spec(args) -> SystemSpec:
@@ -189,7 +195,7 @@ def cmd_convergents(args, out) -> int:
 
 def cmd_branches(args, out) -> int:
     spec = _build_spec(args)
-    bound = _parse_bound(args.bound) if args.bound else spec.ctx.p**4
+    bound = spec.ctx.p**4 if args.bound is None else args.bound
     for digit, f in enumerate_branches(spec, bound):
         rec = {
             "digit": digit_to_obj(digit),
@@ -209,15 +215,20 @@ def _csv_row(out, check, p, l, m, estimate, stderr, theoretical, passed):
     )
 
 
-def _parse_word(spec: SystemSpec, text: str):
+def _parse_word(text: str, flag: str):
     """Word syntax for 1-D systems: '(k,v)' letters separated by ';'."""
     letters = []
     for part in text.split(";"):
         part = part.strip().strip("()")
         if not part:
             continue
-        k_s, v_s = part.split(",", 1)
-        letters.append(Digit1D(int(k_s), parse_rational(v_s.strip())))
+        try:
+            k_s, v_s = part.split(",", 1)
+            letters.append(Digit1D(int(k_s), parse_rational(v_s)))
+        except (ValueError, ZeroDivisionError):
+            raise CliError(
+                f"argument {flag}: expected '(k,v)' letters separated by ';', got {text!r}"
+            )
     return tuple(letters)
 
 
@@ -246,24 +257,19 @@ def cmd_stats(args, out) -> int:
                 )
             )
     elif args.check == "iota-sum":
-        bound = _parse_bound(args.bound) if args.bound else p**20
-        total = ergodics.iota_sum(spec, bound)
-        if spec.kind == cfsystems.ONE_DIM:
-            theo = ergodics.iota_sum_closed_form(spec, bound)
-            passed = total == theo
-        else:
-            theo = None
-            passed = 0 < total < 1
-        rows.append(("iota-sum", total, 0.0, theo, passed))
+        # the literal sum over every branch against the sum of class counts
+        bound = p**20 if args.bound is None else args.bound
+        total = sum((1 / iota(f) for _, f in enumerate_branches(spec, bound)), Fraction(0))
+        theo = ergodics.iota_sum(spec, bound)
+        rows.append(("iota-sum", total, 0.0, theo, total == theo))
     elif args.check == "mixing":
         if spec.kind != cfsystems.ONE_DIM:
             raise CliError("mixing check expects a one-dimensional system")
         if not args.wordA or not args.wordB:
             raise CliError("mixing check requires --wordA and --wordB")
-        A = ergodics.SymbolicCylinder(spec, _parse_word(spec, args.wordA))
-        B = ergodics.SymbolicCylinder(spec, _parse_word(spec, args.wordB))
-        bound = _parse_bound(args.bound) if args.bound else None
-        rep = ergodics.mixing_exact(A, B, args.n, iota_bound=bound)
+        A = ergodics.SymbolicCylinder(spec, _parse_word(args.wordA, "--wordA"))
+        B = ergodics.SymbolicCylinder(spec, _parse_word(args.wordB, "--wordB"))
+        rep = ergodics.mixing_exact(A, B, args.n, iota_bound=args.bound)
         passed = abs(rep.lhs - rep.rhs) <= rep.tail_bound
         rows.append(("mixing", rep.lhs, 0.0, rep.rhs, passed))
     elif args.check == "invariance":
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp_br = sub.add_parser("branches", help="enumerate branches up to an iota bound")
     common(sp_br)
-    sp_br.add_argument("--bound", default=None, help="iota bound, e.g. 2^6 (default p^4)")
+    sp_br.add_argument("--bound", type=_bound, default=None, help="iota bound, e.g. 2^6 (default p^4)")
 
     sp_stats = sub.add_parser("stats", help="statistics checks with CSV/JSON output")
     common(sp_stats)
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["digit-means", "iota-sum", "mixing", "invariance"],
     )
     sp_stats.add_argument("--samples", type=_count, default=2000)
-    sp_stats.add_argument("--bound", default=None, help="iota bound, e.g. 2^20")
+    sp_stats.add_argument("--bound", type=_bound, default=None, help="iota bound, e.g. 2^20")
     sp_stats.add_argument("--wordA", default=None)
     sp_stats.add_argument("--wordB", default=None)
     sp_stats.add_argument("--n", type=int, default=1, help="iterate count for mixing")
@@ -366,6 +372,9 @@ def _fill_defaults(args):
         args.seed = int(env) if env else 0
     if args.m is None:
         args.m = 2 if args.system in ("jacobi-perron", "brun") else 1
+    bound = getattr(args, "bound", None)
+    if bound is not None and bound < args.p:
+        raise CliError(f"argument --bound: must be at least p = {args.p}, got {bound}")
     if args.precision is None:
         args.precision = 4 * args.steps
     elif args.precision < 4 * args.steps:
@@ -375,11 +384,17 @@ def _fill_defaults(args):
         )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between
+    calls.  build_parser itself still returns a fresh parser."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
-    parser = build_parser()
     out = out or sys.stdout
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

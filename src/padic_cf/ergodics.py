@@ -18,6 +18,7 @@ from fractions import Fraction
 from .cfsystems import (
     ONE_DIM,
     SystemSpec,
+    branch_counts,
     branch_lft,
     digit_functionals,
     enumerate_branches,
@@ -100,36 +101,16 @@ def cylinder_measure(c: SymbolicCylinder) -> Fraction:
 def iota_sum(spec: SystemSpec, iota_bound) -> Fraction:
     """Sum of 1/iota over all branches with iota <= iota_bound.
 
-    Monotone in the bound, always <= 1, and converging to 1 as the bound
-    grows; the complement is the exact measure of the omitted branches.
+    Computed from the branch counts per iota exponent, so it costs one term
+    per exponent, not per branch.  Monotone in the bound, always <= 1, and
+    converging to 1 as the bound grows: pivot depth d carries measure
+    (p-1)/p**d, and the complement is the exact measure of the omitted
+    branches.
     """
-    total = Fraction(0)
-    for _, f in enumerate_branches(spec, iota_bound):
-        total += 1 / iota(f)
-    return total
-
-
-def iota_sum_closed_form(spec: SystemSpec, iota_bound) -> Fraction:
-    """Exact value of iota_sum for one-dimensional systems.
-
-    Branches of pivot valuation d carry total measure (p-1)/p**d, so the sum
-    over every complete class included by the bound is 1 - p**-D with D the
-    deepest included class.
-    """
-    if spec.kind != ONE_DIM:
-        raise ValueError("closed form available for one-dimensional systems only")
     p = spec.ctx.p
-    d = 0
-    while True:
-        nxt = d + 1
-        if spec.ell == INF:
-            expo = 2 * nxt
-        else:
-            expo = max(nxt - spec.ell, 0) + 2 * min(nxt, spec.ell)
-        if p**expo > iota_bound:
-            break
-        d = nxt
-    return 1 - Fraction(1, p**d)
+    counts = branch_counts(spec, iota_bound)
+    top = max(counts, default=0)
+    return Fraction(sum(n * p ** (top - e) for e, n in counts.items()), p**top)
 
 
 def theoretical_digit_means(p: int, ell) -> tuple[Fraction, Fraction]:

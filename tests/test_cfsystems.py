@@ -404,6 +404,8 @@ class TestDigitValidation:
     def test_ruban_rejects_positive_k(self):
         with pytest.raises(InvalidDigit):
             branch_lft(SystemSpec.ruban(P2), Digit1D(1, Fraction(1)))
+        with pytest.raises(InvalidDigit):
+            pivot_valuation(SystemSpec.ruban(P2), Digit1D(1, Fraction(1)))
 
     def test_schneider_rejects_k_zero(self):
         with pytest.raises(InvalidDigit):

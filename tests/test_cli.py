@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from padic_cf.cli import main
+import pytest
+
+from padic_cf.cli import _parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -130,6 +132,21 @@ class TestStats:
         assert code == 0
         assert out == golden_text("stats_iota_sum_schneider_p2.csv")
 
+    def test_iota_sum_multi_dim_fills_theoretical(self):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "jacobi-perron", "--check", "iota-sum",
+             "--bound", "2^9"]
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "iota-sum,2,inf,2,0.875,0.0,0.875,true"
+
+    def test_iota_sum_brun_rejected(self, capsys):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "brun", "--check", "iota-sum", "--bound", "2^6"]
+        )
+        assert code == 2 and out == ""
+        assert "not enumerated" in capsys.readouterr().err
+
     def test_mixing_golden(self):
         code, out = run_cli(
             [
@@ -247,6 +264,53 @@ class TestArgumentRanges:
              "--cylinders", "0"],
             "--cylinders",
         )
+
+
+class TestMalformedInput:
+    """Malformed values exit 2 with a message that names the flag."""
+
+    @pytest.mark.parametrize("bound", ["abc", "2^x", "2^2^3"])
+    def test_bound_syntax(self, capsys, bound):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "iota-sum", "--bound", bound]
+        )
+        assert code == 2 and out == ""
+        assert f"argument --bound: expected N or B^E with integers, got {bound!r}" in (
+            capsys.readouterr().err
+        )
+
+    def test_bound_below_p(self, capsys):
+        code, out = run_cli(["branches", "--p", "3", "--system", "ruban", "--bound", "1"])
+        assert code == 2 and out == ""
+        assert "argument --bound: must be at least p = 3, got 1" in capsys.readouterr().err
+
+    def test_malformed_word(self, capsys):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+             "--wordA", "(1)", "--wordB", "(2,1)", "--n", "3"]
+        )
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "argument --wordA:" in err and "unpack" not in err
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_calls(self):
+        argvs = [
+            ["expand", "--p", "3", "--system", "ruban", "random:24", "--steps", "5", "--seed", "7"],
+            ["expand", "--p", "3", "--system", "ruban", "random:24", "--steps", "5"],
+            ["stats", "--p", "2", "--system", "schneider", "--check", "iota-sum",
+             "--bound", "2^6", "--format", "json"],
+            ["stats", "--p", "2", "--system", "schneider", "--check", "iota-sum"],
+            ["branches", "--p", "2", "--system", "tl", "--l", "1", "--bound", "2^5"],
+            ["branches", "--p", "2", "--system", "tl", "--l", "1"],
+        ]
+        fresh = []
+        for argv in argvs:
+            _parser.cache_clear()
+            fresh.append(run_cli(argv))
+        assert fresh[0] != fresh[1] and fresh[2] != fresh[3] and fresh[4] != fresh[5]
+        assert [run_cli(argv) for argv in argvs + argvs[::-1]] == fresh + fresh[::-1]
 
 
 class TestBranches:

@@ -16,6 +16,7 @@ from padic_cf import (
     SymbolicCylinder,
     SystemSpec,
     WordTooShort,
+    branch_counts,
     branch_lft,
     convergent,
     convergents,
@@ -27,7 +28,6 @@ from padic_cf import (
     invariance_mc,
     iota,
     iota_sum,
-    iota_sum_closed_form,
     measure,
     membership_mc,
     mixing_exact,
@@ -91,14 +91,27 @@ class TestIotaSum:
         sums = [iota_sum(s, 3**b) for b in (2, 4, 8, 12)]
         assert sums == sorted(sums) and all(x < 1 for x in sums)
 
-    def test_closed_form_matches(self):
-        for spec, bound in (
-            (SystemSpec.schneider(P2), 2**13),
-            (SystemSpec.ruban(P2), 2**13),
-            (SystemSpec.one_dim(P3, 2), 3**9),
-            (SystemSpec.one_dim(P5, 1), 5**7),
-        ):
-            assert iota_sum(spec, bound) == iota_sum_closed_form(spec, bound)
+    @pytest.mark.parametrize(
+        "p,ell,m,top",
+        [
+            pytest.param(p, ell, m, top, id=f"p{p}-l{ell}-m{m}")
+            for p, ell, m, top in (
+                [(p, ell, 1, 9) for p in (2, 3, 5) for ell in (0, INF, 1, 2)]
+                + [(2, ell, m, 10) for ell in (INF, 0, 1) for m in (2, 3)]
+                + [(3, ell, m, 7) for ell in (INF, 0, 1) for m in (2, 3)]
+            )
+        ],
+    )
+    def test_counts_match_enumeration(self, p, ell, m, top):
+        # every bound p^1 .. p^top; for tlm p=2 ell=1 m=3, 2^8 and 2^9 cut
+        # pivot class 3, whose branches have iota 2^8 .. 2^10
+        ctx = PrimeCtx(p)
+        spec = SystemSpec.one_dim(ctx, ell) if m == 1 else SystemSpec.multi_dim(ctx, ell, m)
+        for b in range(1, top + 1):
+            branches = enumerate_branches(spec, p**b)
+            literal = sum((1 / iota(f) for _, f in branches), Fraction(0))
+            assert iota_sum(spec, p**b) == literal, b
+            assert sum(branch_counts(spec, p**b).values()) == len(branches), b
 
     def test_multi_dim_complete_classes(self):
         # classes of pivot valuation d carry weight (p-1)/p^d; bound p^{(m+1)D}
@@ -106,9 +119,16 @@ class TestIotaSum:
         for p, m, ell, D in ((2, 2, INF, 3), (3, 2, 0, 2), (2, 3, 1, 2)):
             ctx = PrimeCtx(p)
             spec = SystemSpec.multi_dim(ctx, ell, m)
-            total = iota_sum(spec, p ** ((m + 1) * D))
-            assert total >= 1 - Fraction(1, p**D)
-            assert total < 1
+            bound = p ** ((m + 1) * D)
+            total = iota_sum(spec, bound)
+            assert total == sum((1 / iota(f) for _, f in enumerate_branches(spec, bound)), Fraction(0))
+            assert 1 - Fraction(1, p**D) <= total < 1
+
+    def test_brun_and_small_bound_rejected(self):
+        with pytest.raises(NotImplementedError):
+            iota_sum(SystemSpec.brun(P2, 2), 2**6)
+        with pytest.raises(ValueError):
+            iota_sum(SystemSpec.schneider(P3), 2)
 
 
 class TestTheoreticalMeans:
