@@ -238,13 +238,14 @@ def _entry_depth(pexp: int, q, ell, p: int) -> int:
 
 
 def _clamped_exponent(d1: int, ell, other_kind: str, other_val) -> int:
-    """p-exponent of a coordinate at depth d1 - ord(x_other) below the pivot."""
+    """p-exponent of a coordinate at depth d1 - ord(x_other) below the pivot.
+
+    For a coordinate zero at precision, other_val is only a lower bound on its
+    valuation; a positive exponent from it shifts the quotient to a precision
+    of -ell or less, so the caller's _split raises PrecisionExhausted."""
     if other_kind == "zero":
         return 0
-    r = _depth_split(d1 - other_val, ell)[0]
-    if r and other_kind == "min":
-        raise PrecisionExhausted("pivot exponent not determined")
-    return r
+    return _depth_split(d1 - other_val, ell)[0]
 
 
 def _invert(x):

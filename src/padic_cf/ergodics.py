@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,11 +121,28 @@ def theoretical_digit_means(p: int, ell) -> tuple[Fraction, Fraction]:
     return mean_a, Fraction(p, p**ell * (p - 1))
 
 
+# Set by the pool initializer in each forked child, never in the caller.
+_shard_worker = None
+
+
+def _set_shard_worker(worker) -> None:
+    global _shard_worker
+    _shard_worker = worker
+
+
+def _run_job(job):
+    return _shard_worker(job)
+
+
 def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) -> list:
     """Split a sample budget into fixed-size shards with seeds seed, seed+1, ...
 
-    The shard layout depends only on n_samples, never on the thread count, so
-    results are reproducible whether or not the run is parallel.
+    The shard layout depends only on n_samples, never on the worker count, so
+    results are reproducible whether or not the run is parallel.  With more
+    than one shard and threads > 1 the shards run in up to `threads` forked
+    processes.  The worker reaches them by fork inheritance, not by pickling,
+    so it may be a closure; only the (seed, size) jobs and the shard results
+    cross the process boundary, and `map` returns them in shard order.
     """
     jobs = []
     offset = 0
@@ -136,9 +152,12 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
         jobs.append((seed + idx, size))
         offset += size
         idx += 1
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs))
+    if threads > 1 and len(jobs) > 1:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(threads, len(jobs)), _set_shard_worker, (worker,)) as pool:
+            return pool.map(_run_job, jobs, chunksize=1)
     return [worker(job) for job in jobs]
 
 

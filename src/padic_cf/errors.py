@@ -23,10 +23,16 @@ class NotHyperbolicError(PadicError):
 
     def __init__(self, condition: int, detail: str = ""):
         self.condition = condition
+        self.detail = detail
         msg = f"not hyperbolic: condition ({self._NAMES[condition]}) failed"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # pickle rebuilds from the constructor's arguments, not from args
+        # (the message), so the error can cross a process boundary
+        return type(self), (self.condition, self.detail)
 
 
 class InvalidDigit(PadicError):

@@ -90,7 +90,7 @@ def test_criterion_2_digit_mean_limits():
     details = []
     for p, ell in configs:
         spec = one_dim_spec(p, ell)
-        rep_a, rep_b = digit_mean_reports(spec, 2000, 200, seed=20_240 + p)
+        rep_a, rep_b = digit_mean_reports(spec, 2000, 200, seed=20_240 + p, threads=2)
         for label, rep in (("a", rep_a), ("b", rep_b)):
             target = float(rep.theoretical)
             gap = abs(rep.estimate - target)
@@ -233,7 +233,7 @@ def test_criterion_6_invariance():
         rng = random.Random(6_000 + sys_idx)
         for k in range(20):
             c = random_cylinder(rng, spec.ctx, spec.m, max_level=3)
-            rep = invariance_mc(spec, c, 50_000, seed=60_000 + 100 * sys_idx + k)
+            rep = invariance_mc(spec, c, 50_000, seed=60_000 + 100 * sys_idx + k, threads=2)
             gap = abs(rep.estimate - float(rep.theoretical))
             if rep.stderr > 0:
                 worst_sigma = max(worst_sigma, gap / rep.stderr)

@@ -11,6 +11,8 @@ from padic_cf import (
     DigitMD,
     ExpansionTerminated,
     InvalidDigit,
+    PadicApprox,
+    PrecisionExhausted,
     PrimeCtx,
     SystemSpec,
     apply_forward,
@@ -129,6 +131,19 @@ class TestMultiDimStep:
         assert nxt == expected
         assert d.pexp == (0, 0)
         assert d.qvec == (integral_part(w1, P2), integral_part(w2, P2))
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_zero_at_precision_coordinate_exhausts(self, ell):
+        # x_2 is only known to be 0 mod 2^a, so at pivot depth d1 > a + ell
+        # its exponent max(d1 - ord(x_2) - ell, 0) is not determined
+        s = SystemSpec.multi_dim(P2, ell, 2)
+        for a in (1, 2, 3):
+            x2 = PadicApprox(P2, a, 0, a)
+            assert x2.is_zero_at_precision
+            for d1 in range(a + ell + 1, a + ell + 4):
+                x1 = PadicApprox.from_rational(3 * 2**d1, P2, 40)
+                with pytest.raises(PrecisionExhausted):
+                    step(s, (x1, x2))
 
     def test_branch_matches_step(self):
         rng = random.Random(9)

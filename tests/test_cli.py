@@ -193,12 +193,26 @@ class TestStats:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    @staticmethod
+    def _same_at_every_thread_count(base):
+        serial = run_cli(base)
+        assert serial[0] == 0
+        assert run_cli(base + ["--threads", "2"]) == serial
+        assert run_cli(base + ["--threads", "3"]) == serial
+
     def test_threads_do_not_change_output(self):
-        base = [
+        # 750 samples are 3 shards of 250
+        self._same_at_every_thread_count([
             "stats", "--p", "3", "--system", "ruban", "--check", "digit-means",
-            "--samples", "60", "--steps", "20", "--seed", "3",
-        ]
-        assert run_cli(base) == run_cli(base + ["--threads", "3"])
+            "--samples", "750", "--steps", "20", "--seed", "3",
+        ])
+
+    def test_threads_do_not_change_invariance_output(self):
+        # 30000 samples are 3 shards of 10,000
+        self._same_at_every_thread_count([
+            "stats", "--p", "3", "--system", "ruban", "--check", "invariance",
+            "--samples", "30000", "--cylinders", "2", "--seed", "3",
+        ])
 
     def test_config_error_exit_code(self):
         code, _ = run_cli(["stats", "--p", "2", "--system", "tl", "--check", "iota-sum"])

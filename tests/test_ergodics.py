@@ -1,7 +1,11 @@
 """Measure identities, Birkhoff averages, invariance and mixing checks."""
 
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +15,8 @@ from padic_cf import (
     Digit1D,
     IncompatibleWords,
     InsufficientData,
+    NotHyperbolicError,
+    PrecisionExhausted,
     PrimeCtx,
     ProductCylinder,
     SymbolicCylinder,
@@ -37,7 +43,7 @@ from padic_cf import (
     theoretical_digit_means,
     valuation,
 )
-from padic_cf.ergodics import StatReport
+from padic_cf.ergodics import StatReport, _run_sharded
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -231,6 +237,81 @@ class TestInvarianceMC:
                     for piece in preimage_cylinder(f, c, cert):
                         total += measure(piece)
                 assert total == measure(c) * s_mass
+
+
+class TestShardPool:
+    """threads > 1 runs the shards in forked processes; the shard layout and
+    seeds, and so every report, do not depend on the worker count."""
+
+    def test_reports_equal_at_every_worker_count(self):
+        rng = random.Random(12)
+        jp = SystemSpec.jacobi_perron(P2, 2)
+        c2 = random_cylinder(rng, P2, 2, max_level=2)
+        c1 = ProductCylinder((Ball(P2, Fraction(2), 3),))
+        runs = {
+            # 25,000 samples are 3 shards of at most 10,000
+            "invariance": lambda t: invariance_mc(jp, c2, 25_000, seed=31, threads=t),
+            "membership": lambda t: membership_mc(
+                SystemSpec.schneider(P2), c1, 25_000, seed=32, threads=t
+            ),
+            # 600 samples are 3 shards of at most 250
+            "digit-means": lambda t: digit_mean_reports(
+                SystemSpec.schneider(P3), 600, 10, seed=33, threads=t
+            ),
+        }
+        for name, run in runs.items():
+            serial = run(1)
+            assert run(2) == serial, name
+            assert run(3) == serial, name
+
+    def test_shard_exception_reaches_caller(self):
+        def worker(job):
+            if job[0] == 2:
+                raise PrecisionExhausted(f"shard {job[0]}")
+            return job
+
+        with pytest.raises(PrecisionExhausted, match="^shard 2$"):
+            _run_sharded(worker, 40, 0, chunk=10, threads=2)
+
+        def not_hyperbolic(job):
+            raise NotHyperbolicError(3, f"coordinate {job[0]}")
+
+        # an error that does not unpickle would leave pool.map waiting forever
+        copy = pickle.loads(pickle.dumps(NotHyperbolicError(3, "coordinate 0")))
+        assert copy.condition == 3
+        assert str(copy) == "not hyperbolic: condition (iii) failed (coordinate 0)"
+        with pytest.raises(NotHyperbolicError, match=r"\(iii\) failed") as err:
+            _run_sharded(not_hyperbolic, 20, 0, chunk=10, threads=2)
+        assert err.value.condition == 3
+
+    def test_closure_worker_runs_in_child_processes(self):
+        offset = {"seed": 1000}
+
+        def worker(job):
+            seed, size = job
+            return seed + offset["seed"], size, os.getpid()
+
+        out = _run_sharded(worker, 25, 7, chunk=10, threads=2)
+        assert [r[:2] for r in out] == [(1007, 10), (1008, 10), (1009, 5)]
+        assert os.getpid() not in {r[2] for r in out}
+        # a single shard runs in this process whatever the worker count
+        assert _run_sharded(worker, 10, 7, chunk=10, threads=2) == [(1007, 10, os.getpid())]
+
+    def test_more_workers_than_shards(self):
+        out = _run_sharded(lambda job: job, 15, 4, chunk=10, threads=5)
+        assert out == [(4, 10), (5, 5)]
+
+    def test_import_loads_no_pool_module(self):
+        code = (
+            "import sys, padic_cf, padic_cf.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMixing:
