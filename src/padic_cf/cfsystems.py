@@ -1,10 +1,24 @@
 """The concrete continued fraction families.
 
-One-dimensional: the map x -> p**k / x - floor(p**k / x) on p*Z_p, where
-k = max(ord(x) - ell, 0).  ell = 0 is Schneider's algorithm, ell = inf is
-Ruban's.  Multi-dimensional: the cyclic pivot generalisation whose ell = inf
-instance is the p-adic Jacobi-Perron algorithm.  Brun's variant pivots on the
-coordinate of maximal norm instead.
+Every family steps by one map on (p*Z_p)^m.  With pivot coordinate i, a
+permutation sigma of 1..m and s = sigma^-1(i), the next point is
+
+    y_s = p**r_s / x_i - q_s,    y_k = p**r_k * x_sigma(k) / x_i - q_k  (k != s),
+
+where q_k, the integral part of the term before it, is the digit entry; the
+branch is the lft.LftParams (i, sigma, p**r, q).  The families differ in
+three rules, and `step` has one body for all of them:
+
+* pivot: coordinate 1, or for Brun the first coordinate of least valuation;
+* sigma: the cycle (2, ..., m, 1), or for Brun the identity;
+* exponent: r_k = max(depth - ell, 0) for a term at valuation depth
+  ord(x_i) - ord(x_sigma(k)), or ord(x_i) in slot s (_depth_split); Brun is
+  the case ell = inf, so its exponents are all 0.
+
+One-dimensional systems are the case m = 1: x -> p**k / x - v with
+k = max(ord(x) - ell, 0), where ell = 0 is Schneider's algorithm and
+ell = inf is Ruban's.  The cyclic family at ell = inf is the p-adic
+Jacobi-Perron algorithm.
 
 Each step emits a digit identifying the inverse branch; composing inverse
 branches applied to the origin yields the exact rational convergents.
@@ -12,6 +26,7 @@ branches applied to the origin yields the exact rational convergents.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -27,6 +42,7 @@ from .padic_core import (
     INF,
     PadicApprox,
     PrimeCtx,
+    as_fraction,
     format_rational,
     integral_part,
     parse_rational,
@@ -45,7 +61,7 @@ EXHAUSTED = "precision-exhausted"
 def digit_class(v, p: int) -> int | None:
     """Class N of an admissible digit value: v = sum_{i=-N}^0 c_i p**i with
     leading digit nonzero.  None when v is not of this shape."""
-    v = Fraction(v)
+    v = as_fraction(v)
     if v <= 0:
         return None
     num, den = v.numerator, v.denominator
@@ -132,6 +148,20 @@ class SystemSpec:
             return "ruban"
         return "tl"
 
+    @functools.cached_property
+    def sigma(self) -> tuple[int, ...]:
+        """The permutation of every branch, sigma[k-1] = sigma(k): the identity
+        for Brun, the cycle (2, ..., m, 1) otherwise."""
+        if self.kind == BRUN:
+            return tuple(range(1, self.m + 1))
+        return tuple(range(2, self.m + 1)) + (1,)
+
+    @functools.cached_property
+    def exponent_ell(self):
+        """The ell of the exponent rule; Brun's branches carry no p factors,
+        which is the case ell = inf."""
+        return INF if self.kind == BRUN else self.ell
+
     @property
     def ell_str(self) -> str:
         if self.kind == BRUN:
@@ -141,13 +171,25 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class Digit1D:
-    """One-dimensional digit (k, v): the branch x -> p**k / x - v."""
+    """One-dimensional digit (k, v): the branch x -> p**k / x - v.
+
+    It reads as the m = 1 case of DigitMD: pexp = (k,), qvec = (v,), pivot 1.
+    """
 
     k: int
     v: Fraction
+    pivot = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "v", Fraction(self.v))
+        object.__setattr__(self, "v", as_fraction(self.v))
+
+    @property
+    def pexp(self) -> tuple[int]:
+        return (self.k,)
+
+    @property
+    def qvec(self) -> tuple[Fraction]:
+        return (self.v,)
 
 
 @dataclass(frozen=True)
@@ -163,8 +205,8 @@ class DigitMD:
     pivot: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "pexp", tuple(int(r) for r in self.pexp))
-        object.__setattr__(self, "qvec", tuple(Fraction(q) for q in self.qvec))
+        object.__setattr__(self, "pexp", tuple(map(int, self.pexp)))
+        object.__setattr__(self, "qvec", tuple(map(as_fraction, self.qvec)))
 
 
 @dataclass(frozen=True)
@@ -179,28 +221,25 @@ class Expansion:
         object.__setattr__(self, "digits", tuple(self.digits))
 
 
-def _coerce_point(spec: SystemSpec, x):
-    """Normalise a point to a coordinate tuple; scalars allowed for 1-D."""
-    if spec.kind == ONE_DIM:
-        coords = (x,) if not isinstance(x, (tuple, list)) else tuple(x)
-    else:
-        coords = tuple(x)
+def _coerce_point(spec: SystemSpec, coords: tuple):
+    """(coordinates, their _val_info) of a point of (p*Z_p)^m, exact
+    coordinates as Fractions; ValueError for any other input."""
     if len(coords) != spec.m:
         raise ValueError(f"expected {spec.m} coordinates, got {len(coords)}")
+    ctx = spec.ctx
     out = []
+    infos = []
     for c in coords:
-        if isinstance(c, PadicApprox):
-            if c.ctx.p != spec.ctx.p:
-                raise ValueError("coordinate prime differs from system prime")
-            if not c.is_exact_zero and c.valuation_lower_bound() < 1:
-                raise ValueError("point must lie in (p*Z_p)^m")
-            out.append(c)
-        else:
-            c = Fraction(c)
-            if c != 0 and valuation(c, spec.ctx) < 1:
-                raise ValueError("point must lie in (p*Z_p)^m")
-            out.append(c)
-    return tuple(out)
+        if not isinstance(c, PadicApprox):
+            c = as_fraction(c)
+        elif c.ctx.p != ctx.p:
+            raise ValueError("coordinate prime differs from system prime")
+        info = _val_info(c, ctx)
+        if info[0] != "zero" and info[1] < 1:
+            raise ValueError("point must lie in (p*Z_p)^m")
+        out.append(c)
+        infos.append(info)
+    return tuple(out), infos
 
 
 def _val_info(x, ctx: PrimeCtx):
@@ -237,17 +276,6 @@ def _entry_depth(pexp: int, q, ell, p: int) -> int:
     return depth
 
 
-def _clamped_exponent(d1: int, ell, other_kind: str, other_val) -> int:
-    """p-exponent of a coordinate at depth d1 - ord(x_other) below the pivot.
-
-    For a coordinate zero at precision, other_val is only a lower bound on its
-    valuation; a positive exponent from it shifts the quotient to a precision
-    of -ell or less, so the caller's _split raises PrecisionExhausted."""
-    if other_kind == "zero":
-        return 0
-    return _depth_split(d1 - other_val, ell)[0]
-
-
 def _invert(x):
     if isinstance(x, PadicApprox):
         return x.inverse()
@@ -270,183 +298,120 @@ def _split(x, ctx: PrimeCtx):
     return i, x - i
 
 
-def _step_one_dim(spec: SystemSpec, coords):
-    x = coords[0]
-    kind, d = _val_info(x, spec.ctx)
-    if kind == "zero":
-        raise ExpansionTerminated("orbit reached exact zero")
-    if kind == "min":
-        raise PrecisionExhausted("pivot valuation not determined")
-    k = _depth_split(d, spec.ell)[0]
-    w = _shift_pk(_invert(x), k, spec.ctx.p)
-    v, nxt = _split(w, spec.ctx)
-    return Digit1D(k, v), (nxt,)
-
-
-def _step_multi_dim(spec: SystemSpec, coords):
-    ctx = spec.ctx
-    m = spec.m
-    x1 = coords[0]
-    kind, d1 = _val_info(x1, ctx)
-    if kind == "zero":
-        raise ExpansionTerminated("pivot coordinate is exact zero")
-    if kind == "min":
-        raise PrecisionExhausted("pivot valuation not determined")
-    inv1 = _invert(x1)
-    pexp = []
-    qvec = []
-    ys = []
-    for k in range(1, m + 1):
-        if k == m:
-            r = _depth_split(d1, spec.ell)[0]
-            arg = _shift_pk(inv1, r, ctx.p)
-        else:
-            xk = coords[k]
-            okind, oval = _val_info(xk, ctx)
-            r = _clamped_exponent(d1, spec.ell, okind, oval)
-            if okind == "zero":
-                arg = Fraction(0)
-            else:
-                arg = _shift_pk(xk * inv1, r, ctx.p)
-        q, y = _split(arg, ctx)
-        pexp.append(r)
-        qvec.append(q)
-        ys.append(y)
-    return DigitMD(tuple(pexp), tuple(qvec), 1), tuple(ys)
-
-
-def _step_brun(spec: SystemSpec, coords):
-    ctx = spec.ctx
-    infos = [_val_info(c, ctx) for c in coords]
+def _pivot(spec: SystemSpec, infos) -> int:
+    """The pivot rule: coordinate 1, or for Brun the first coordinate of least
+    valuation.  Raises when the pivot is exactly zero or its valuation is not
+    determined."""
+    if spec.kind != BRUN:
+        kind, _ = infos[0]
+        if kind == "zero":
+            raise ExpansionTerminated("pivot coordinate is exact zero")
+        if kind == "min":
+            raise PrecisionExhausted("pivot valuation not determined")
+        return 1
     known = [v for kind, v in infos if kind == "ord"]
     if not known:
         if all(kind == "zero" for kind, _ in infos):
             raise ExpansionTerminated("orbit reached exact zero")
         raise PrecisionExhausted("no coordinate has a determined valuation")
-    dmin = min(known)
-    pivot = None
-    for idx, (kind, v) in enumerate(infos):
-        if kind == "min" and v <= dmin:
-            # could tie or undercut the best known valuation
-            raise PrecisionExhausted("pivot selection not determined")
-        if kind == "ord" and v == dmin and pivot is None:
-            pivot = idx + 1
-    xi = coords[pivot - 1]
-    invi = _invert(xi)
-    qvec = []
-    ys = []
-    for k in range(1, spec.m + 1):
-        if k == pivot:
-            arg = invi
-        else:
-            xk = coords[k - 1]
-            kind, _ = _val_info(xk, ctx)
-            arg = Fraction(0) if kind == "zero" else xk * invi
-        q, y = _split(arg, ctx)
-        qvec.append(q)
-        ys.append(y)
-    return DigitMD((0,) * spec.m, tuple(qvec), pivot), tuple(ys)
+    # A coordinate known only to be 0 below a depth P <= min(known) could tie
+    # or undercut the pivot; its quotient by the pivot then has absolute
+    # precision P - min(known) <= 0, and its split raises PrecisionExhausted.
+    return infos.index(("ord", min(known))) + 1
 
 
 def step(spec: SystemSpec, x):
     """One application of the algorithm: (digit, next point).
 
+    With pivot i, the term of slot k is x_sigma(k) / x_i at depth
+    ord(x_i) - ord(x_sigma(k)), or 1 / x_i at depth ord(x_i) in the slot with
+    sigma(k) = i.  It is scaled by p**r_k, r_k the exponent of its depth, and
+    split into its integral part q_k (the digit entry) and its fractional part
+    y_k (the next point).
+
     Raises ExpansionTerminated when the pivot coordinate is exactly zero and
-    PrecisionExhausted when an approximation cannot support the step.  The
-    shape of the returned point matches the input (scalar for 1-D).
+    PrecisionExhausted when an approximation cannot support the step.  A
+    scalar is accepted when m = 1, and the next point has the input's shape.
     """
-    coords = _coerce_point(spec, x)
+    scalar = not isinstance(x, (tuple, list))
+    coords, infos = _coerce_point(spec, (x,) if scalar else tuple(x))
+    ctx = spec.ctx
+    p = ctx.p
+    ell = spec.exponent_ell
+    i = _pivot(spec, infos)
+    d_i = infos[i - 1][1]
+    inv = _invert(coords[i - 1])
+    pexp = []
+    qvec = []
+    ys = []
+    for src in spec.sigma:
+        if src == i:
+            r = _depth_split(d_i, ell)[0]
+            arg = _shift_pk(inv, r, p)
+        else:
+            kind, v = infos[src - 1]
+            if kind == "zero":
+                r, arg = 0, Fraction(0)
+            else:
+                # v only bounds the valuation from below when kind is "min";
+                # a positive exponent from it leaves too little precision to split
+                r = _depth_split(d_i - v, ell)[0]
+                arg = _shift_pk(coords[src - 1] * inv, r, p)
+        q, y = _split(arg, ctx)
+        pexp.append(r)
+        qvec.append(q)
+        ys.append(y)
     if spec.kind == ONE_DIM:
-        digit, nxt = _step_one_dim(spec, coords)
-        scalar_in = not isinstance(x, (tuple, list))
-        return digit, (nxt[0] if scalar_in else nxt)
-    if spec.kind == MULTI_DIM:
-        return _step_multi_dim(spec, coords)
-    return _step_brun(spec, coords)
+        digit = Digit1D(pexp[0], qvec[0])
+    else:
+        digit = DigitMD(tuple(pexp), tuple(qvec), i)
+    return digit, (ys[0] if scalar else tuple(ys))
 
 
-def _sigma_cyclic(m: int) -> tuple[int, ...]:
-    return tuple(k + 1 for k in range(1, m)) + (1,)
+def pivot_valuation(spec: SystemSpec, d) -> int:
+    """Valuation of the pivot coordinate at the step that emitted this digit,
+    its pivot depth; InvalidDigit for a digit no step of the system emits.
 
-
-def _validate_digit_1d(spec: SystemSpec, d: Digit1D) -> int:
-    """Pivot depth of a one-dimensional digit; InvalidDigit if no step emits it."""
-    depth = _entry_depth(d.k, d.v, spec.ell, spec.ctx.p)
-    if depth < 1:
-        raise InvalidDigit("pivot depth must be >= 1")
-    return depth
-
-
-def _validate_digit_md(spec: SystemSpec, d: DigitMD) -> int:
-    """Pivot depth of a cyclic-family digit; InvalidDigit if no step emits it."""
-    p = spec.ctx.p
+    A Digit1D is the case m = 1.  The entry of slot s = sigma^-1(i) lies at
+    the pivot depth d_i >= 1.  Every other nonzero entry lies at depth
+    d_i - ord(x_sigma(k)), and the pivot rule bounds that valuation below: by
+    1 for the cyclic family, and for Brun by d_i after the pivot and d_i + 1
+    before it.
+    """
+    if isinstance(d, Digit1D) != (spec.kind == ONE_DIM):
+        dim = "one" if spec.kind == ONE_DIM else "multi"
+        raise InvalidDigit(f"expected a {dim}-dimensional digit")
     m = spec.m
-    if len(d.pexp) != m or len(d.qvec) != m or d.pivot != 1:
+    i, pexp, qvec = d.pivot, d.pexp, d.qvec
+    if len(pexp) != m or len(qvec) != m or not 1 <= i <= m or (i != 1 and spec.kind != BRUN):
         raise InvalidDigit("malformed digit")
-    d1 = _entry_depth(d.pexp[m - 1], d.qvec[m - 1], spec.ell, p)
-    if d1 < 1:
+    p = spec.ctx.p
+    ell = spec.exponent_ell
+    sigma = spec.sigma
+    s = sigma.index(i)
+    d_i = _entry_depth(pexp[s], qvec[s], ell, p)
+    if d_i < 1:
         raise InvalidDigit("pivot depth must be >= 1")
-    for r, q in zip(d.pexp[: m - 1], d.qvec[: m - 1]):
+    for k in range(m):
+        if k == s:
+            continue
+        r, q = pexp[k], qvec[k]
         if q == 0:
             if r != 0:
                 raise InvalidDigit("zero integral part forces zero exponent")
-        elif _entry_depth(r, q, spec.ell, p) > d1 - 1:
-            raise InvalidDigit("coordinate depth exceeds pivot depth")
-    return d1
-
-
-def _validate_digit_brun(spec: SystemSpec, d: DigitMD):
-    p = spec.ctx.p
-    m = spec.m
-    if len(d.pexp) != m or len(d.qvec) != m or not (1 <= d.pivot <= m):
-        raise InvalidDigit("malformed digit")
-    if any(r != 0 for r in d.pexp):
-        raise InvalidDigit("Brun branches carry no p factors")
-    cls_p = digit_class(d.qvec[d.pivot - 1], p)
-    if cls_p is None or cls_p < 1:
-        raise InvalidDigit("pivot integral part must have class >= 1")
-    for k in range(1, m + 1):
-        if k == d.pivot:
             continue
-        q = d.qvec[k - 1]
-        if k < d.pivot:
-            if q != 0:
-                raise InvalidDigit("coordinates before the pivot have larger valuation")
-        elif q != 0 and digit_class(q, p) != 0:
-            raise InvalidDigit("non-pivot integral parts have class 0")
+        least_ord = 1 if spec.kind != BRUN else (d_i + 1 if sigma[k] < i else d_i)
+        if _entry_depth(r, q, ell, p) > d_i - least_ord:
+            raise InvalidDigit("coordinate depth exceeds what the pivot rule allows")
+    return d_i
 
 
 def branch_lft(spec: SystemSpec, d) -> LftParams:
     """The branch transformation determined by a digit; always hyperbolic."""
-    ctx = spec.ctx
-    p = ctx.p
-    if spec.kind == ONE_DIM:
-        if not isinstance(d, Digit1D):
-            raise InvalidDigit("expected a one-dimensional digit")
-        _validate_digit_1d(spec, d)
-        return LftParams(ctx, 1, 1, (1,), (Fraction(p**d.k),), (d.v,))
-    if not isinstance(d, DigitMD):
-        raise InvalidDigit("expected a multi-dimensional digit")
-    if spec.kind == MULTI_DIM:
-        _validate_digit_md(spec, d)
-        pvec = tuple(Fraction(p**r) for r in d.pexp)
-        return LftParams(ctx, spec.m, 1, _sigma_cyclic(spec.m), pvec, d.qvec)
-    _validate_digit_brun(spec, d)
-    identity = tuple(range(1, spec.m + 1))
-    ones = (Fraction(1),) * spec.m
-    return LftParams(ctx, spec.m, d.pivot, identity, ones, d.qvec)
-
-
-def pivot_valuation(spec: SystemSpec, d) -> int:
-    """Valuation of the pivot coordinate at the step that emitted this digit.
-
-    Raises InvalidDigit for a digit the system cannot emit.
-    """
-    if spec.kind == ONE_DIM:
-        return _validate_digit_1d(spec, d)
-    if spec.kind == MULTI_DIM:
-        return _validate_digit_md(spec, d)
-    return digit_class(d.qvec[d.pivot - 1], spec.ctx.p)
+    pivot_valuation(spec, d)  # validates
+    p = spec.ctx.p
+    pvec = tuple([p**r for r in d.pexp])
+    return LftParams(spec.ctx, spec.m, d.pivot, spec.sigma, pvec, d.qvec)
 
 
 def expand(spec: SystemSpec, x, max_steps: int) -> Expansion:

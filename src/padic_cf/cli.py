@@ -80,9 +80,17 @@ def _bound(s: str) -> int:
     return b**e
 
 
+# systems whose depth parameter is not a flag, and why
+_NO_L = {"schneider": "fixes l = 0", "ruban": "fixes l = inf", "brun": "has no depth parameter"}
+
+
 def _build_spec(args) -> SystemSpec:
     ctx = PrimeCtx(args.p)
     system = args.system
+    if args.l is not None and system in _NO_L:
+        raise CliError(f"argument --l: --system {system} {_NO_L[system]}")
+    if args.m != 1 and system in ("schneider", "ruban"):
+        raise CliError(f"argument --m: --system {system} is one-dimensional, got {args.m}")
     ell = _parse_ell(args.l) if args.l is not None else None
     if system == "schneider":
         return SystemSpec.schneider(ctx)
@@ -101,14 +109,14 @@ def _build_spec(args) -> SystemSpec:
     raise CliError(f"unknown system {system!r}")
 
 
-def _parse_point(spec: SystemSpec, tokens: list[str], seed: int):
-    """Point input: one 'num/den' per coordinate, or a single 'random:N'."""
+def _parse_point(spec: SystemSpec, tokens: list[str], seed: int) -> tuple:
+    """Point input, as a coordinate tuple: one 'num/den' per coordinate, or a
+    single 'random:N'."""
     if len(tokens) == 1 and tokens[0].startswith("random:"):
         n = int(tokens[0].split(":", 1)[1])
         if n < 1:
             raise CliError("random:N requires N >= 1")
-        coords = haar_sample_vector(spec.ctx, spec.m, n, random.Random(seed))
-        return coords if spec.m > 1 else coords[0]
+        return haar_sample_vector(spec.ctx, spec.m, n, random.Random(seed))
     if len(tokens) == 1 and "," in tokens[0]:
         tokens = tokens[0].split(",")
     if len(tokens) != spec.m:
@@ -122,7 +130,7 @@ def _parse_point(spec: SystemSpec, tokens: list[str], seed: int):
         if x != 0 and valuation(x, spec.ctx) < 1:
             raise CliError(f"coordinate {t} is not in p*Z_p")
         coords.append(x)
-    return tuple(coords) if spec.m > 1 else coords[0]
+    return tuple(coords)
 
 
 def _emit(line: str, out):
@@ -174,19 +182,13 @@ def cmd_convergents(args, out) -> int:
         coords = vec if isinstance(vec, tuple) else (vec,)
         cols = [str(j), " ".join(format_rational(c) for c in coords)]
         if point is not None:
-            pt = point if isinstance(point, tuple) else (point,)
             ords = []
-            for c, x in zip(coords, pt):
+            for c, x in zip(coords, point):
                 diff = x - c
                 if isinstance(diff, Fraction):
-                    v = valuation(diff, spec.ctx)
-                elif diff.is_exact_zero:
-                    v = INF
-                elif diff.is_zero_at_precision:
-                    v = diff.abs_prec  # a lower bound; the true ord is deeper
-                else:
-                    v = diff.valuation()
-                ords.append(v)
+                    ords.append(valuation(diff, spec.ctx))
+                else:  # an approximation: a lower bound, the true ord may be deeper
+                    ords.append(diff.valuation_lower_bound())
             vmin = min(ords)
             cols.append("inf" if vmin == INF else str(vmin))
         _emit("\t".join(cols), out)
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["schneider", "ruban", "tl", "jacobi-perron", "brun"],
         )
         sp.add_argument("--l", default=None, help="depth parameter, integer or 'inf'")
-        sp.add_argument("--m", type=int, default=None, help="dimension")
+        sp.add_argument("--m", type=_count, default=None, help="dimension")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--precision", type=int, default=None, help="digits for random points")
         sp.add_argument("--steps", type=_count, default=32)

@@ -25,7 +25,6 @@ from .cfsystems import (
 )
 from .errors import (
     ExpansionTerminated,
-    IncompatibleWords,
     InsufficientData,
     PrecisionExhausted,
     WordTooShort,
@@ -250,11 +249,7 @@ def _cylinder_mc(
         for _ in range(shard_samples):
             xs = haar_sample_vector(spec.ctx, spec.m, precision, rng)
             try:
-                if preimage:
-                    _, img = step(spec, xs if spec.m > 1 else xs[0])
-                    point = img if isinstance(img, tuple) else (img,)
-                else:
-                    point = xs
+                point = step(spec, xs)[1] if preimage else xs
                 inside = c.contains(point)
             except (PrecisionExhausted, ExpansionTerminated):
                 continue
@@ -332,33 +327,6 @@ def mixing_exact(
         s = iota_sum(A.system, iota_bound)
     lhs = mu_b * s**middle * mu_a
     return MixingReport(lhs=lhs, rhs=rhs, tail_bound=rhs - lhs, n=n)
-
-
-def conditional_density_check(
-    A: SymbolicCylinder, X: SymbolicCylinder, letter
-) -> tuple[Fraction, Fraction]:
-    """Conditional measure of X inside A, before and after prepending a letter.
-
-    Returns (ratio with the letter prepended to both words, plain ratio);
-    the two are equal exactly because the branch factor cancels.
-    """
-    if A.system != X.system:
-        raise ValueError("cylinders must share one system")
-    wa, wx = A.word, X.word
-    if len(wa) <= len(wx):
-        if wx[: len(wa)] != wa:
-            raise IncompatibleWords("words are not nested")
-        inner = wx
-    else:
-        if wa[: len(wx)] != wx:
-            raise IncompatibleWords("words are not nested")
-        inner = wa
-    spec = A.system
-    plain = cylinder_measure(SymbolicCylinder(spec, inner)) / cylinder_measure(A)
-    pre_inner = SymbolicCylinder(spec, (letter,) + inner)
-    pre_a = SymbolicCylinder(spec, (letter,) + wa)
-    prepended = cylinder_measure(pre_inner) / cylinder_measure(pre_a)
-    return prepended, plain
 
 
 # -- random generators for tests and the CLI ---------------------------------

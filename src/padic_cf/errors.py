@@ -47,9 +47,5 @@ class InsufficientData(PadicError):
     """Too few Monte Carlo observations completed to report a meaningful estimate."""
 
 
-class IncompatibleWords(PadicError):
-    """Two symbolic cylinders are not nested (neither word is a prefix of the other)."""
-
-
 class WordTooShort(PadicError):
     """The requested iterate count is shorter than the conditioning word."""

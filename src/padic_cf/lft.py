@@ -23,6 +23,7 @@ from .padic_core import (
     PadicApprox,
     PrimeCtx,
     ProductCylinder,
+    as_fraction,
     format_rational,
     measure,
     parse_rational,
@@ -46,8 +47,8 @@ class LftParams:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "pvec", tuple(Fraction(v) for v in self.pvec))
-        object.__setattr__(self, "qvec", tuple(Fraction(v) for v in self.qvec))
+        object.__setattr__(self, "pvec", tuple(map(as_fraction, self.pvec)))
+        object.__setattr__(self, "qvec", tuple(map(as_fraction, self.qvec)))
         if self.m < 1 or not (1 <= self.i <= self.m):
             raise ValueError("need m >= 1 and 1 <= i <= m")
         if sorted(self.sigma) != list(range(1, self.m + 1)):

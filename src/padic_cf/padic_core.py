@@ -83,6 +83,11 @@ def _inv_unit(u: int, p: int, n: int) -> int:
     return v
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction, without copying one that already is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def valuation(x, ctx: PrimeCtx | None = None):
     """p-adic valuation; math.inf for exact zero.
 
@@ -185,16 +190,7 @@ def residue(x, ctx: PrimeCtx | None = None) -> int:
 def integral_part(x, ctx: PrimeCtx | None = None) -> Fraction:
     """Sum of the digit terms at positions <= 0; an element of J or zero."""
     if isinstance(x, PadicApprox):
-        ctx = x.ctx
-        if x.is_exact_zero:
-            return Fraction(0)
-        if x.abs_prec < 1:
-            raise PrecisionExhausted("digits at positions <= 0 not all determined")
-        lo = x._lo
-        if lo >= 1:
-            return Fraction(0)
-        u = x._unit % ctx.p ** (1 - lo)
-        return Fraction(u * ctx.p**lo) if lo >= 0 else Fraction(u, ctx.p**-lo)
+        return x._split_at_one()[0]
     if ctx is None:
         raise TypeError("ctx is required for exact values")
     x = Fraction(x)

@@ -197,6 +197,26 @@ class TestMultiDimStep:
                 assert dm.qvec == (do.v,)
                 assert nm[0] == no
 
+    @pytest.mark.parametrize(
+        "spec",
+        [SystemSpec.multi_dim(P3, 1, 1), SystemSpec.jacobi_perron(P2, 1), SystemSpec.brun(P3, 1)],
+        ids=["tlm-l1-m1", "jp-m1", "brun-m1"],
+    )
+    def test_m1_scalar_point_keeps_its_shape(self, spec):
+        rng = random.Random(13)
+        for _ in range(20):
+            x = haar_sample(spec.ctx, 60, rng)
+            d, nxt = step(spec, x)
+            assert isinstance(nxt, PadicApprox)
+            assert step(spec, (x,)) == (d, (nxt,))
+            assert step(spec, [x]) == (d, (nxt,))
+        d, nxt = step(spec, Fraction(2 * spec.ctx.p, 5))
+        assert isinstance(nxt, Fraction)
+
+    def test_scalar_point_needs_m1(self):
+        with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+            step(SystemSpec.jacobi_perron(P2, 2), Fraction(2, 3))
+
     def test_pivot_valuation_matches_point(self):
         rng = random.Random(12)
         for spec in (
@@ -225,6 +245,16 @@ class TestBrun:
         assert d.pivot == 2
         assert d.qvec == (Fraction(0), Fraction(3, 2))
         assert nxt == (Fraction(2), Fraction(0))
+
+    def test_undetermined_tie_exhausts(self):
+        # x_1 is known only to be 0 mod 2^2, so its valuation may tie x_2's,
+        # and the first coordinate of least valuation would then be x_1
+        s = SystemSpec.brun(P2, 2)
+        x2 = PadicApprox.from_rational(Fraction(4, 3), P2, 20)
+        with pytest.raises(PrecisionExhausted):
+            step(s, (PadicApprox(P2, 2, 0, 2), x2))
+        d, _ = step(s, (PadicApprox(P2, 3, 0, 3), x2))
+        assert d.pivot == 2
 
     def test_branches_hyperbolic_and_match(self):
         rng = random.Random(21)
@@ -442,6 +472,20 @@ class TestDigitValidation:
         spec = SystemSpec.brun(P2, 2)
         with pytest.raises(InvalidDigit):
             branch_lft(spec, DigitMD((0, 0), (Fraction(1), Fraction(3, 2)), 2))
+
+    def test_digit_kind_must_match_the_system(self):
+        with pytest.raises(InvalidDigit):
+            branch_lft(SystemSpec.jacobi_perron(P2, 1), Digit1D(0, Fraction(3, 2)))
+        with pytest.raises(InvalidDigit):
+            branch_lft(SystemSpec.ruban(P2), DigitMD((0,), (Fraction(3, 2),), 1))
+        with pytest.raises(InvalidDigit):
+            pivot_valuation(SystemSpec.brun(P2, 1), Digit1D(0, Fraction(3, 2)))
+
+    def test_brun_pivot_valuation_validates(self):
+        spec = SystemSpec.brun(P2, 2)
+        assert pivot_valuation(spec, DigitMD((0, 0), (Fraction(0), Fraction(3, 2)), 2)) == 1
+        with pytest.raises(InvalidDigit):
+            pivot_valuation(spec, DigitMD((0, 0), (Fraction(1), Fraction(3, 2)), 2))
 
     def test_functionals(self):
         assert digit_functionals(Digit1D(1, Fraction(1))) == (Fraction(1), 1)

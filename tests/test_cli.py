@@ -307,6 +307,54 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "argument --wordA:" in err and "unpack" not in err
 
+    def test_zero_m(self, capsys):
+        code, out = run_cli(["expand", "--p", "2", "--system", "jacobi-perron", "--m", "0", "2/3"])
+        assert code == 2 and out == ""
+        assert "argument --m: must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system", ["schneider", "ruban"])
+    def test_m_for_a_one_dim_system(self, capsys, system):
+        code, out = run_cli(["expand", "--p", "2", "--system", system, "--m", "3", "2/3"])
+        assert code == 2 and out == ""
+        assert f"argument --m: --system {system} is one-dimensional, got 3" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("system", ["schneider", "ruban", "brun"])
+    def test_l_for_a_system_without_a_depth_flag(self, capsys, system):
+        code, out = run_cli(["branches", "--p", "2", "--system", system, "--l", "1"])
+        assert code == 2 and out == ""
+        assert f"argument --l: --system {system} " in capsys.readouterr().err
+
+
+class TestOneCoordinateSystems:
+    """Multi-dim and Brun systems with --m 1 run like the 1-D map they equal."""
+
+    @pytest.mark.parametrize("system", ["jacobi-perron", "brun"])
+    @pytest.mark.parametrize("point", ["random:20", "2/3"])
+    def test_expand(self, system, point):
+        code, out = run_cli(["expand", "--p", "2", "--system", system, "--m", "1", point])
+        assert code == 0
+        _, ruban = run_cli(["expand", "--p", "2", "--system", "ruban", point])
+        rows = [json.loads(line) for line in out.splitlines()]
+        ref = [json.loads(line) for line in ruban.splitlines()]
+        assert rows[-1] == ref[-1] and len(rows) == len(ref) > 1
+        for row, r in zip(rows[:-1], ref[:-1]):
+            assert row["digit"] == {"pexp": [r["digit"]["k"]], "q": [r["digit"]["v"]], "pivot": 1}
+
+    @pytest.mark.parametrize("system", ["jacobi-perron", "brun"])
+    def test_convergents_with_point(self, tmp_path, system):
+        flags = ["--p", "3", "--system", system, "--m", "1", "--seed", "4"]
+        code, digits = run_cli(["expand", *flags, "random:30"])
+        assert code == 0
+        path = tmp_path / "digits.jsonl"
+        path.write_text(digits, encoding="utf-8")
+        code, out = run_cli(["convergents", *flags, str(path), "--point", "random:30"])
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert len(rows) == len(digits.splitlines()) - 1
+        assert all(int(r[2]) >= int(r[0]) + 2 for r in rows)
+
 
 class TestParserReuse:
     def test_calls_in_one_process_match_fresh_calls(self):
