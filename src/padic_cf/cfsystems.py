@@ -42,6 +42,7 @@ from .padic_core import (
     INF,
     PadicApprox,
     PrimeCtx,
+    _inv_unit,
     as_fraction,
     format_rational,
     integral_part,
@@ -221,39 +222,38 @@ class Expansion:
         object.__setattr__(self, "digits", tuple(self.digits))
 
 
+EXACT_ZERO = (INF, 0, INF)  # an exact zero as a step_core triple
+
+
 def _coerce_point(spec: SystemSpec, coords: tuple):
-    """(coordinates, their _val_info) of a point of (p*Z_p)^m, exact
-    coordinates as Fractions; ValueError for any other input."""
+    """(True, Fractions) for a point without approximations, else (False,
+    step_core triples); ValueError for any other input.  Beside approximations
+    an exact coordinate is read to the digits of the most precise one, enough
+    for every term computed from an approximation to keep its precision."""
     if len(coords) != spec.m:
         raise ValueError(f"expected {spec.m} coordinates, got {len(coords)}")
     ctx = spec.ctx
-    out = []
-    infos = []
+    digits = 0
+    for c in coords:
+        if isinstance(c, PadicApprox):
+            if c.ctx.p != ctx.p:
+                raise ValueError("coordinate prime differs from system prime")
+            if not c.is_exact_zero:
+                digits = max(digits, c.abs_prec)
+    if not digits:
+        out = tuple(Fraction(0) if isinstance(c, PadicApprox) else as_fraction(c) for c in coords)
+        if any(c != 0 and valuation(c, ctx) < 1 for c in out):
+            raise ValueError("point must lie in (p*Z_p)^m")
+        return True, out
+    triples = []
     for c in coords:
         if not isinstance(c, PadicApprox):
             c = as_fraction(c)
-        elif c.ctx.p != ctx.p:
-            raise ValueError("coordinate prime differs from system prime")
-        info = _val_info(c, ctx)
-        if info[0] != "zero" and info[1] < 1:
+            c = PadicApprox.from_rational(c, ctx, valuation(c, ctx) + digits)
+        if c.valuation_lower_bound() < 1:
             raise ValueError("point must lie in (p*Z_p)^m")
-        out.append(c)
-        infos.append(info)
-    return tuple(out), infos
-
-
-def _val_info(x, ctx: PrimeCtx):
-    """(kind, value): ('zero', None) exact zero, ('ord', d) known valuation,
-    ('min', bound) only a lower bound is known."""
-    if isinstance(x, PadicApprox):
-        if x.is_exact_zero:
-            return "zero", None
-        if x.is_zero_at_precision:
-            return "min", x.abs_prec
-        return "ord", x.valuation()
-    if x == 0:
-        return "zero", None
-    return "ord", valuation(x, ctx)
+        triples.append((c._lo, c._unit, c._prec))
+    return False, triples
 
 
 def _depth_split(depth: int, ell) -> tuple[int, int]:
@@ -276,48 +276,130 @@ def _entry_depth(pexp: int, q, ell, p: int) -> int:
     return depth
 
 
-def _invert(x):
-    if isinstance(x, PadicApprox):
-        return x.inverse()
-    return 1 / x
-
-
-def _shift_pk(x, k: int, p: int):
-    if k == 0:
-        return x
-    if isinstance(x, PadicApprox):
-        return x._shift(k)
-    return x * p**k
-
-
-def _split(x, ctx: PrimeCtx):
-    """(integral part, fractional part) for either value type."""
-    if isinstance(x, PadicApprox):
-        return x._split_at_one()
-    i = integral_part(x, ctx)
-    return i, x - i
-
-
-def _pivot(spec: SystemSpec, infos) -> int:
-    """The pivot rule: coordinate 1, or for Brun the first coordinate of least
-    valuation.  Raises when the pivot is exactly zero or its valuation is not
-    determined."""
+def _rules(spec: SystemSpec, infos) -> tuple[int, list]:
+    """(pivot i, [exponent r_k per slot k]), r_k None for the zero term of an
+    exact zero coordinate.  infos[k] is ("zero", None), ("ord", valuation) or
+    ("min", P) for coordinate k + 1, the last when only valuation >= P is
+    known.  The pivot is coordinate 1, or for Brun the first coordinate of
+    least valuation; raises when it is zero or its valuation undetermined."""
     if spec.kind != BRUN:
         kind, _ = infos[0]
         if kind == "zero":
             raise ExpansionTerminated("pivot coordinate is exact zero")
         if kind == "min":
             raise PrecisionExhausted("pivot valuation not determined")
-        return 1
-    known = [v for kind, v in infos if kind == "ord"]
-    if not known:
-        if all(kind == "zero" for kind, _ in infos):
-            raise ExpansionTerminated("orbit reached exact zero")
-        raise PrecisionExhausted("no coordinate has a determined valuation")
-    # A coordinate known only to be 0 below a depth P <= min(known) could tie
-    # or undercut the pivot; its quotient by the pivot then has absolute
-    # precision P - min(known) <= 0, and its split raises PrecisionExhausted.
-    return infos.index(("ord", min(known))) + 1
+        i = 1
+    else:
+        known = [v for kind, v in infos if kind == "ord"]
+        if not known:
+            if all(kind == "zero" for kind, _ in infos):
+                raise ExpansionTerminated("orbit reached exact zero")
+            raise PrecisionExhausted("no coordinate has a determined valuation")
+        # A coordinate known only to be 0 below a depth P <= min(known) could
+        # tie or undercut the pivot; its quotient by the pivot then has
+        # absolute precision P - min(known) <= 0, and its split raises
+        # PrecisionExhausted.
+        i = infos.index(("ord", min(known))) + 1
+    d_i = infos[i - 1][1]
+    ell = spec.exponent_ell
+    rs = []
+    for src in spec.sigma:
+        if src == i:
+            rs.append(_depth_split(d_i, ell)[0])
+        else:
+            kind, v = infos[src - 1]
+            # v only bounds the valuation from below when kind is "min";
+            # a positive exponent from it leaves too little precision to split
+            rs.append(None if kind == "zero" else _depth_split(d_i - v, ell)[0])
+    return i, rs
+
+
+def step_core(spec: SystemSpec, coords, want: int | None = None):
+    """step on integers: (pivot i, pexp, entries, nxt), q_k = w / p**c for
+    entries[k] = (w, c).
+
+    A coordinate is (ord, unit, abs_prec): p**ord * unit known mod
+    p**abs_prec, 0 <= unit < p**(abs_prec - ord), p may divide unit.
+    Precision follows PadicApprox (P - 2*ord on inversion, min on products,
+    +r on shifts), so this raises exactly where step does.  The triples of
+    nxt are not normalised, and their digits at or above abs_prec are
+    garbage.  With `want`, the pivot unit is inverted mod p**(ord + want)
+    only, and nxt is right only below position `want`.
+    """
+    p = spec.ctx.p
+    point = []
+    infos = []
+    for lo, unit, prec in coords:
+        if unit:
+            while unit % p == 0:
+                unit //= p
+                lo += 1
+            infos.append(("ord", lo))
+        elif prec == INF:
+            infos.append(("zero", None))
+        else:
+            lo = prec
+            infos.append(("min", prec))
+        point.append((lo, unit, prec))
+    i, rs = _rules(spec, infos)
+    d, u_i, prec_i = point[i - 1]
+    n = prec_i - d
+    if want is not None and d + want < n:
+        n = d + want
+    inv = _inv_unit(u_i, p, n)
+    inv_prec = prec_i - 2 * d
+    pexp, entries, nxt = [], [], []
+    for src, r in zip(spec.sigma, rs):
+        if r is None:
+            pexp.append(0)
+            entries.append((0, 0))
+            nxt.append(EXACT_ZERO)
+            continue
+        if src == i:  # p**r / x_i
+            lo, unit, prec = r - d, inv, inv_prec + r
+        else:  # p**r * x_src / x_i
+            lo_s, u_s, prec_s = point[src - 1]
+            lo = lo_s - d
+            prec = min(prec_s - d, inv_prec + lo_s)
+            if prec > lo:
+                unit = u_s * inv
+            else:  # no digit known: zero at precision
+                lo, unit = prec, 0
+            lo += r
+            prec += r
+        if prec < 1:
+            raise PrecisionExhausted("digits at positions <= 0 not all determined")
+        pexp.append(r)
+        if lo >= 1:
+            entries.append((0, 0))
+            nxt.append((lo, unit, prec))
+        else:  # the digits at positions lo .. 0 are the integral part
+            rest, w = divmod(unit, p ** (1 - lo))
+            entries.append((w, -lo))
+            nxt.append((1, rest, prec))
+    return i, pexp, entries, nxt
+
+
+def _step_exact(spec: SystemSpec, coords: tuple):
+    """step on exact coordinates, in Fraction arithmetic: (i, pexp, qvec, ys)."""
+    ctx = spec.ctx
+    p = ctx.p
+    infos = [("zero", None) if c == 0 else ("ord", valuation(c, ctx)) for c in coords]
+    i, rs = _rules(spec, infos)
+    inv = 1 / coords[i - 1]
+    pexp, qvec, ys = [], [], []
+    for src, r in zip(spec.sigma, rs):
+        if r is None:
+            pexp.append(0)
+            qvec.append(Fraction(0))
+            ys.append(Fraction(0))
+            continue
+        arg = (inv if src == i else coords[src - 1] * inv) * p**r
+        q = integral_part(arg, ctx)
+        pexp.append(r)
+        qvec.append(q)
+        ys.append(arg - q)
+    return i, pexp, qvec, ys
 
 
 def step(spec: SystemSpec, x):
@@ -329,38 +411,23 @@ def step(spec: SystemSpec, x):
     split into its integral part q_k (the digit entry) and its fractional part
     y_k (the next point).
 
-    Raises ExpansionTerminated when the pivot coordinate is exactly zero and
-    PrecisionExhausted when an approximation cannot support the step.  A
-    scalar is accepted when m = 1, and the next point has the input's shape.
+    An exact point steps in Fraction arithmetic, any other in step_core,
+    whose results become PadicApprox values (an exact zero stays
+    Fraction(0)).  Raises ExpansionTerminated when the pivot coordinate is
+    exactly zero and PrecisionExhausted when an approximation cannot support
+    the step.  A scalar is accepted when m = 1, and the next point has the
+    input's shape.
     """
     scalar = not isinstance(x, (tuple, list))
-    coords, infos = _coerce_point(spec, (x,) if scalar else tuple(x))
-    ctx = spec.ctx
-    p = ctx.p
-    ell = spec.exponent_ell
-    i = _pivot(spec, infos)
-    d_i = infos[i - 1][1]
-    inv = _invert(coords[i - 1])
-    pexp = []
-    qvec = []
-    ys = []
-    for src in spec.sigma:
-        if src == i:
-            r = _depth_split(d_i, ell)[0]
-            arg = _shift_pk(inv, r, p)
-        else:
-            kind, v = infos[src - 1]
-            if kind == "zero":
-                r, arg = 0, Fraction(0)
-            else:
-                # v only bounds the valuation from below when kind is "min";
-                # a positive exponent from it leaves too little precision to split
-                r = _depth_split(d_i - v, ell)[0]
-                arg = _shift_pk(coords[src - 1] * inv, r, p)
-        q, y = _split(arg, ctx)
-        pexp.append(r)
-        qvec.append(q)
-        ys.append(y)
+    exact, coords = _coerce_point(spec, (x,) if scalar else tuple(x))
+    if exact:
+        i, pexp, qvec, ys = _step_exact(spec, coords)
+    else:
+        i, pexp, entries, nxt = step_core(spec, coords)
+        ctx = spec.ctx
+        p = ctx.p
+        qvec = [Fraction(w, p**c) for w, c in entries]
+        ys = [Fraction(0) if y == EXACT_ZERO else PadicApprox(ctx, *y) for y in nxt]
     if spec.kind == ONE_DIM:
         digit = Digit1D(pexp[0], qvec[0])
     else:
@@ -614,6 +681,12 @@ def digit_from_obj(obj: dict):
 
 
 def expansion_records(spec: SystemSpec, exp: Expansion):
-    """One JSON-ready record per emitted digit: {j, digit, ord_consumed}."""
+    """One JSON-ready record per emitted digit: {j, digit, ord_consumed}.
+    The digits are step's, so the pivot depth is read, not validated:
+    pexp[s] + digit_class(qvec[s]) in the pivot's slot s = sigma^-1(i)."""
+    p = spec.ctx.p
+    slot = {i: s for s, i in enumerate(spec.sigma)}
     for j, d in enumerate(exp.digits):
-        yield {"j": j, "digit": digit_to_obj(d), "ord_consumed": pivot_valuation(spec, d)}
+        s = slot[d.pivot]
+        depth = d.pexp[s] + digit_class(d.qvec[s], p)
+        yield {"j": j, "digit": digit_to_obj(d), "ord_consumed": depth}

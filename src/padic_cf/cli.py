@@ -27,17 +27,21 @@ from .cfsystems import (
     expansion_records,
 )
 from .lft import iota
-from .errors import PadicError
+from .errors import PadicError, ShardProcessDied
 from .padic_core import (
     INF,
     PrimeCtx,
     format_rational,
     haar_sample_vector,
+    is_prime,
     parse_rational,
     valuation,
 )
 
 CSV_HEADER = "check,p,l,m,estimate,stderr,theoretical,pass"
+
+# Most branches the literal iota-sum check lists (21,844 take about 2 s).
+IOTA_SUM_BRANCH_CAP = 50_000
 
 
 class CliError(Exception):
@@ -64,6 +68,17 @@ def _count(s: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s!r}")
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+    return v
+
+
+def _prime(s: str) -> int:
+    """argparse type for --p; argparse prefixes the flag."""
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a prime, got {s!r}")
+    if not is_prime(v):
+        raise argparse.ArgumentTypeError(f"must be prime, got {v}")
     return v
 
 
@@ -109,26 +124,31 @@ def _build_spec(args) -> SystemSpec:
     raise CliError(f"unknown system {system!r}")
 
 
-def _parse_point(spec: SystemSpec, tokens: list[str], seed: int) -> tuple:
+def _parse_point(spec: SystemSpec, tokens: list[str], seed: int, name: str = "point") -> tuple:
     """Point input, as a coordinate tuple: one 'num/den' per coordinate, or a
-    single 'random:N'."""
+    single 'random:N'.  Errors name the argument `name`."""
     if len(tokens) == 1 and tokens[0].startswith("random:"):
-        n = int(tokens[0].split(":", 1)[1])
+        try:
+            n = int(tokens[0].split(":", 1)[1])
+        except ValueError:
+            n = 0
         if n < 1:
-            raise CliError("random:N requires N >= 1")
+            raise CliError(
+                f"argument {name}: expected random:N with an integer N >= 1, got {tokens[0]!r}"
+            )
         return haar_sample_vector(spec.ctx, spec.m, n, random.Random(seed))
     if len(tokens) == 1 and "," in tokens[0]:
         tokens = tokens[0].split(",")
     if len(tokens) != spec.m:
-        raise CliError(f"expected {spec.m} coordinates, got {len(tokens)}")
+        raise CliError(f"argument {name}: expected {spec.m} coordinates, got {len(tokens)}")
     coords = []
     for t in tokens:
         try:
             x = parse_rational(t)
         except (ValueError, ZeroDivisionError):
-            raise CliError(f"cannot parse coordinate {t!r}")
+            raise CliError(f"argument {name}: cannot parse coordinate {t!r}")
         if x != 0 and valuation(x, spec.ctx) < 1:
-            raise CliError(f"coordinate {t} is not in p*Z_p")
+            raise CliError(f"argument {name}: coordinate {t} is not in p*Z_p")
         coords.append(x)
     return tuple(coords)
 
@@ -177,7 +197,7 @@ def cmd_convergents(args, out) -> int:
             raise CliError(f"invalid digit record: {line!r}")
     point = None
     if args.point is not None:
-        point = _parse_point(spec, args.point, args.seed)
+        point = _parse_point(spec, args.point, args.seed, "--point")
     for j, vec in enumerate(convergents(spec, digits)):
         coords = vec if isinstance(vec, tuple) else (vec,)
         cols = [str(j), " ".join(format_rational(c) for c in coords)]
@@ -261,6 +281,12 @@ def cmd_stats(args, out) -> int:
     elif args.check == "iota-sum":
         # the literal sum over every branch against the sum of class counts
         bound = p**20 if args.bound is None else args.bound
+        n_branches = sum(cfsystems.branch_counts(spec, bound).values())
+        if n_branches > IOTA_SUM_BRANCH_CAP:
+            raise CliError(
+                f"argument --bound: the literal iota-sum would enumerate {n_branches} "
+                f"branches at bound {bound}, more than {IOTA_SUM_BRANCH_CAP}; give a smaller --bound"
+            )
         total = sum((1 / iota(f) for _, f in enumerate_branches(spec, bound)), Fraction(0))
         theo = ergodics.iota_sum(spec, bound)
         rows.append(("iota-sum", total, 0.0, theo, total == theo))
@@ -320,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--p", type=int, required=True, help="prime base")
+        sp.add_argument("--p", type=_prime, required=True, help="prime base")
         sp.add_argument(
             "--system",
             required=True,
@@ -329,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--l", default=None, help="depth parameter, integer or 'inf'")
         sp.add_argument("--m", type=_count, default=None, help="dimension")
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--precision", type=int, default=None, help="digits for random points")
+        sp.add_argument("--precision", type=_count, default=None, help="digits for random points")
         sp.add_argument("--steps", type=_count, default=32)
         sp.add_argument("--threads", type=_count, default=1)
 
@@ -362,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_stats.add_argument("--bound", type=_bound, default=None, help="iota bound, e.g. 2^20")
     sp_stats.add_argument("--wordA", default=None)
     sp_stats.add_argument("--wordB", default=None)
-    sp_stats.add_argument("--n", type=int, default=1, help="iterate count for mixing")
+    sp_stats.add_argument("--n", type=_count, default=1, help="iterate count for mixing")
     sp_stats.add_argument("--cylinders", type=_count, default=20)
     sp_stats.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser
@@ -412,6 +438,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
         raise CliError(f"unknown command {args.command!r}")
     except NotImplementedError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ShardProcessDied as exc:
+        print(f"error: {exc}; --threads 1 runs every shard in this process", file=sys.stderr)
         return 2
     except (CliError, PadicError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,11 +22,13 @@ from .cfsystems import (
     digit_functionals,
     enumerate_branches,
     step,
+    step_core,
 )
 from .errors import (
     ExpansionTerminated,
     InsufficientData,
     PrecisionExhausted,
+    ShardProcessDied,
     WordTooShort,
 )
 from .lft import iota
@@ -141,7 +143,8 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
     than one shard and threads > 1 the shards run in up to `threads` forked
     processes.  The worker reaches them by fork inheritance, not by pickling,
     so it may be a closure; only the (seed, size) jobs and the shard results
-    cross the process boundary, and `map` returns them in shard order.
+    cross the process boundary, and `map` returns them in shard order.  A
+    worker process that dies raises ShardProcessDied.
     """
     jobs = []
     offset = 0
@@ -153,10 +156,21 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
         idx += 1
     if threads > 1 and len(jobs) > 1:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(threads, len(jobs)), _set_shard_worker, (worker,)) as pool:
-            return pool.map(_run_job, jobs, chunksize=1)
+        try:
+            with ProcessPoolExecutor(
+                min(threads, len(jobs)),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_set_shard_worker,
+                initargs=(worker,),
+            ) as pool:
+                return list(pool.map(_run_job, jobs))
+        except BrokenProcessPool as exc:
+            raise ShardProcessDied(
+                "a shard worker process exited before returning its result"
+            ) from exc
     return [worker(job) for job in jobs]
 
 
@@ -229,6 +243,38 @@ def digit_mean_reports(
     return reports[0], reports[1]
 
 
+def _membership(c: ProductCylinder):
+    """c.contains for step_core triples in p*Z_p, as congruences to the
+    ball centres, with ProductCylinder.contains's semantics: balls in order,
+    False at the first miss, PrecisionExhausted at the first ball whose
+    known digits agree but stop short of its level."""
+    p = c.ctx.p
+    pows = [p**k for k in range(max(c.levels) + 1)]
+    balls = []
+    for b in c.balls:
+        centre = b.center
+        # no point of p*Z_p agrees with a centre outside Z_p
+        residues = (
+            [centre.numerator % pows[k] for k in range(b.level + 1)]
+            if centre.denominator == 1
+            else None
+        )
+        balls.append((b.level, residues))
+
+    def holds(point) -> bool:
+        for (level, residues), (lo, unit, prec) in zip(balls, point):
+            if residues is None:
+                return False
+            stop = level if prec >= level else prec
+            if (unit * pows[lo] % pows[stop] if lo < stop else 0) != residues[stop]:
+                return False
+            if stop < level:
+                raise PrecisionExhausted("membership not determined at this precision")
+        return True
+
+    return holds
+
+
 def _cylinder_mc(
     spec: SystemSpec,
     c: ProductCylinder,
@@ -237,20 +283,34 @@ def _cylinder_mc(
     preimage: bool,
     threads: int = 1,
 ) -> StatReport:
+    """Fraction of Haar samples x (preimage: of their images T(x)) in c.
+
+    Samples are haar_sample_vector's draws at max(c.levels) + 48 digits, kept
+    as step_core triples.  A sample whose step or membership test raises is
+    dropped, so the estimate is conditioned on the completed samples:
+    n_samples is the count done, and fewer than half done raises
+    InsufficientData.
+    """
     if c.m != spec.m:
         raise ValueError("cylinder dimension mismatch")
-    precision = max(c.levels) + 48
+    want = max(c.levels)
+    precision = want + 48
+    top = spec.ctx.p**precision
+    m = spec.m
+    holds = _membership(c)
 
     def run_shard(args):
         shard_seed, shard_samples = args
-        rng = random.Random(shard_seed)
+        draw = random.Random(shard_seed).randrange
         hits = 0
         done = 0
         for _ in range(shard_samples):
-            xs = haar_sample_vector(spec.ctx, spec.m, precision, rng)
+            # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
+            point = [(1, draw(top), precision + 1) for _ in range(m)]
             try:
-                point = step(spec, xs)[1] if preimage else xs
-                inside = c.contains(point)
+                if preimage:
+                    point = step_core(spec, point, want)[3]
+                inside = holds(point)
             except (PrecisionExhausted, ExpansionTerminated):
                 continue
             done += 1

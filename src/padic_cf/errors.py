@@ -49,3 +49,7 @@ class InsufficientData(PadicError):
 
 class WordTooShort(PadicError):
     """The requested iterate count is shorter than the conditioning word."""
+
+
+class ShardProcessDied(PadicError):
+    """A forked Monte Carlo shard process exited before returning its result."""

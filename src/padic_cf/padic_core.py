@@ -2,8 +2,9 @@
 
 Exact quantities (digits, convergents, measures) live in `fractions.Fraction`;
 orbit points of the sampling harness live in `PadicApprox`, a truncated p-adic
-number with a sound absolute-precision bound.  All values are immutable after
-construction.
+number with a sound absolute-precision bound (the cylinder Monte Carlo carries
+its integers (ord, unit, abs_prec) without the object).  All values are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -317,18 +318,6 @@ class PadicApprox:
         else:
             u = self._unit // self.ctx.p**-shift
         return u % self.ctx.p**ndigits
-
-    def _shift(self, k: int) -> "PadicApprox":
-        """Multiply by p**k: a pure reindexing of the digits."""
-        if self._exact or k == 0:
-            return self
-        out = PadicApprox.__new__(PadicApprox)
-        object.__setattr__(out, "ctx", self.ctx)
-        object.__setattr__(out, "_lo", self._lo + k)
-        object.__setattr__(out, "_unit", self._unit)
-        object.__setattr__(out, "_prec", self._prec + k)
-        object.__setattr__(out, "_exact", False)
-        return out
 
     def _split_at_one(self) -> tuple[Fraction, "PadicApprox"]:
         """(digits at positions <= 0 as an exact rational, the rest).

@@ -163,6 +163,26 @@ class TestMultiDimStep:
                 assert is_hyperbolic(f)
                 assert apply_forward(f, x) == nxt
 
+    def test_exact_coordinates_beside_approximations(self):
+        # a nonzero exact coordinate that is not the pivot steps as it does in
+        # the PadicApprox arithmetic of the emitted branch, and the term of an
+        # exact zero stays Fraction(0)
+        rng = random.Random(31)
+        checked = 0
+        for spec in (SystemSpec.jacobi_perron(P2, 2), SystemSpec.multi_dim(P3, 1, 3)):
+            for j in range(40):
+                x = list(haar_sample_vector(spec.ctx, spec.m, 40, rng))
+                x[-1] = Fraction(0) if j % 4 == 0 else random_phase_point(rng, spec.ctx, 1)[0]
+                try:
+                    d, nxt = step(spec, tuple(x))
+                except PrecisionExhausted:
+                    continue
+                assert apply_forward(branch_lft(spec, d), tuple(x)) == nxt
+                if x[-1] == 0:
+                    assert nxt[spec.sigma.index(spec.m)] == 0
+                checked += 1
+        assert checked > 60
+
     def test_branch_parameters_recomputed_independently(self):
         # inline re-derivation of the parameter vectors from the definition
         rng = random.Random(29)

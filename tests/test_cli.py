@@ -327,6 +327,56 @@ class TestMalformedInput:
         assert f"argument --l: --system {system} " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["expand", "--p", "2", "--system", "schneider", "random:abc"],
+             "argument point: expected random:N with an integer N >= 1, got 'random:abc'"),
+            (["expand", "--p", "4", "--system", "schneider", "2/3"],
+             "argument --p: must be prime, got 4"),
+            (["stats", "--p", "3", "--system", "schneider", "--check", "digit-means",
+              "--precision", "0"],
+             "argument --precision: must be >= 1, got 0"),
+            (["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+              "--wordA", "(1,1)", "--wordB", "(2,1)", "--n", "-1"],
+             "argument --n: must be >= 1, got -1"),
+        ],
+        ids=["random-point", "prime", "precision", "mixing-n"],
+    )
+    def test_value_names_its_argument(self, capsys, argv, message):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert message in err and "int()" not in err
+
+    def test_literal_iota_sum_over_the_branch_cap(self, capsys):
+        # Ruban p=3 at the default bound 3^20 would list 177,144 branches
+        code, out = run_cli(["stats", "--p", "3", "--system", "ruban", "--check", "iota-sum"])
+        assert code == 2 and out == ""
+        assert "argument --bound: the literal iota-sum would enumerate 177144 branches" in (
+            capsys.readouterr().err
+        )
+
+    def test_dead_shard_process(self, capsys, monkeypatch):
+        from padic_cf import ergodics
+
+        parent = os.getpid()
+
+        def dies_in_a_child(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("shards of a parallel run ran in the calling process")
+
+        monkeypatch.setattr(ergodics, "step_core", dies_in_a_child)
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "invariance",
+             "--samples", "20000", "--cylinders", "1", "--threads", "2"]
+        )
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert "shard worker process exited" in err and "--threads 1" in err
+
+
 class TestOneCoordinateSystems:
     """Multi-dim and Brun systems with --m 1 run like the 1-D map they equal."""
 

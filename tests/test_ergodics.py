@@ -15,6 +15,7 @@ from padic_cf import (
     Digit1D,
     InsufficientData,
     NotHyperbolicError,
+    PadicApprox,
     PrecisionExhausted,
     PrimeCtx,
     ProductCylinder,
@@ -42,7 +43,7 @@ from padic_cf import (
     theoretical_digit_means,
     valuation,
 )
-from padic_cf.ergodics import StatReport, _run_sharded
+from padic_cf.ergodics import StatReport, _membership, _run_sharded
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -237,6 +238,25 @@ class TestInvarianceMC:
             assert rep == mc(one_dim, c, 3000, seed=12)
             assert rep.n_samples == 3000 and rep.within(4.0)
 
+    def test_integer_membership_keeps_ball_order(self):
+        # x_1 = 10 + O(2^4) misses the ball 0~2; x_2 = O(2^3) agrees with the
+        # ball 0~5 as far as its digits go, short of level 5.  The first miss
+        # decides before the later exhaustion; swapped, the exhaustion comes first.
+        a, b = Ball(P2, Fraction(0), 2), Ball(P2, Fraction(0), 5)
+        miss, short = (1, 0b101, 4), (3, 0, 3)
+        for balls, triples, expected in (
+            ((a, b), [miss, short], False),
+            ((b, a), [short, miss], "exhausted"),
+        ):
+            cyl = ProductCylinder(balls)
+            point = tuple(PadicApprox(P2, *t) for t in triples)
+            for test in (lambda: cyl.contains(point), lambda: _membership(cyl)(triples)):
+                try:
+                    outcome = test()
+                except PrecisionExhausted:
+                    outcome = "exhausted"
+                assert outcome is expected
+
     def test_exact_decomposition_identity(self):
         # summing preimage measures over enumerated branches reproduces the
         # cylinder measure scaled by the enumerated branch mass
@@ -314,6 +334,28 @@ class TestShardPool:
         assert os.getpid() not in {r[2] for r in out}
         # a single shard runs in this process whatever the worker count
         assert _run_sharded(worker, 10, 7, chunk=10, threads=2) == [(1007, 10, os.getpid())]
+
+    def test_dead_worker_process_raises(self):
+        # one of three shards ends its process; the call raises instead of
+        # waiting for that shard's result
+        code = (
+            "import os\n"
+            "from padic_cf import ShardProcessDied\n"
+            "from padic_cf.ergodics import _run_sharded\n"
+            "def worker(job):\n"
+            "    if job[0] == 1:\n"
+            "        os._exit(1)\n"
+            "    return job\n"
+            "try:\n"
+            "    _run_sharded(worker, 30, 0, chunk=10, threads=2)\n"
+            "except ShardProcessDied as exc:\n"
+            "    print(type(exc.__cause__).__name__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "BrokenProcessPool"
 
     def test_more_workers_than_shards(self):
         out = _run_sharded(lambda job: job, 15, 4, chunk=10, threads=5)

@@ -10,6 +10,10 @@ p in {2, 3, 5}:
   stopping errors of seeded orbits hash to the lines of
   `golden/step_digests.txt`.
 
+The same configurations check the integer path of the cylinder Monte Carlo
+against `step` and `ProductCylinder.contains`: sample by sample on
+low-precision points, and report by report against a reference loop.
+
 Regenerate the digest file only when a change to the outputs is intended:
 
     PYTHONPATH=src python tests/test_step_families.py --write
@@ -17,6 +21,7 @@ Regenerate the digest file only when a change to the outputs is intended:
 
 import hashlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -25,18 +30,27 @@ from pathlib import Path
 import pytest
 
 from padic_cf import (
+    ExpansionTerminated,
     PadicApprox,
     PadicError,
+    PrecisionExhausted,
     PrimeCtx,
     SystemSpec,
     apply_forward,
     branch_lft,
+    expand,
+    expansion_records,
     format_approx,
     format_rational,
     haar_sample_vector,
+    invariance_mc,
+    membership_mc,
+    pivot_valuation,
+    random_cylinder,
     step,
 )
-from padic_cf.cfsystems import digit_to_obj
+from padic_cf.cfsystems import digit_to_obj, step_core
+from padic_cf.ergodics import _membership
 
 DIGESTS = Path(__file__).parent / "golden" / "step_digests.txt"
 
@@ -143,6 +157,83 @@ def test_next_point_is_the_branch_applied_forwards(name, make, p):
             checked += 1
             x = nxt
     assert checked == 150
+
+
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_expansion_records_read_the_pivot_depth(name, make, p):
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    rng = random.Random(f"records/{name}/p{p}")
+    for _ in range(5):
+        exp = expand(spec, haar_sample_vector(ctx, spec.m, 60, rng), 12)
+        depths = [rec["ord_consumed"] for rec in expansion_records(spec, exp)]
+        assert depths == [pivot_valuation(spec, d) for d in exp.digits]
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (PrecisionExhausted, ExpansionTerminated) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_integer_sample_path_matches_step_and_contains(name, make, p):
+    """Sample by sample, on points of 1 to 6 digits, so that steps and
+    membership tests run out of precision: step_core asked for the digits
+    below max(c.levels), then the congruence test, decides as step then
+    ProductCylinder.contains does (True, False or the error raised)."""
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    rng = random.Random(f"integer/{name}/p{p}")
+    seen = set()
+    for _ in range(25):
+        c = random_cylinder(rng, ctx, spec.m, max_level=4)
+        holds = _membership(c)
+        want = max(c.levels)
+        for n_digits in (1, 2, 3, 4, 6):
+            for _ in range(4):
+                units = [rng.randrange(p**n_digits) for _ in range(spec.m)]
+                x = tuple(PadicApprox(ctx, 1, u, n_digits + 1) for u in units)
+                triples = [(1, u, n_digits + 1) for u in units]
+                direct = _outcome(lambda: c.contains(x))
+                assert _outcome(lambda: holds(triples)) == direct
+                image = _outcome(lambda: c.contains(step(spec, x)[1]))
+                assert _outcome(lambda: holds(step_core(spec, triples, want)[3])) == image
+                seen.update((direct, image))
+    assert {True, False, "PrecisionExhausted"} <= seen
+
+
+def _reference_mc(spec, c, n_samples, seed, preimage):
+    """(hits, done) of one shard, written with the value types: Haar samples,
+    step and ProductCylinder.contains, dropping samples that raise."""
+    rng = random.Random(seed)
+    hits = done = 0
+    for _ in range(n_samples):
+        x = haar_sample_vector(spec.ctx, spec.m, max(c.levels) + 48, rng)
+        try:
+            inside = c.contains(step(spec, x)[1] if preimage else x)
+        except (PrecisionExhausted, ExpansionTerminated):
+            continue
+        hits += inside
+        done += 1
+    return hits, done
+
+
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_cylinder_mc_matches_reference_loop(name, make, p):
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    rng = random.Random(f"mc/{name}/p{p}")
+    for _ in range(2):
+        c = random_cylinder(rng, ctx, spec.m, max_level=3)
+        seed = rng.randrange(10**6)
+        for mc, preimage in ((invariance_mc, True), (membership_mc, False)):
+            rep = mc(spec, c, 300, seed)
+            hits, done = _reference_mc(spec, c, 300, seed, preimage)
+            est = Fraction(hits, done)
+            assert (rep.estimate, rep.n_samples) == (float(est), done)
+            assert rep.stderr == math.sqrt(float(est * (1 - est)) / done)
 
 
 if __name__ == "__main__":
