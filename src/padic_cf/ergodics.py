@@ -250,21 +250,14 @@ def _membership(c: ProductCylinder):
     known digits agree but stop short of its level."""
     p = c.ctx.p
     pows = [p**k for k in range(max(c.levels) + 1)]
-    balls = []
-    for b in c.balls:
-        centre = b.center
-        # no point of p*Z_p agrees with a centre outside Z_p
-        residues = (
-            [centre.numerator % pows[k] for k in range(b.level + 1)]
-            if centre.denominator == 1
-            else None
-        )
-        balls.append((b.level, residues))
+    # The centre's numerator serves as its residue: a centre outside Z_p has
+    # a numerator prime to p, which no point of p*Z_p matches mod p.
+    balls = [
+        (b.level, [b.center.numerator % pows[k] for k in range(b.level + 1)]) for b in c.balls
+    ]
 
     def holds(point) -> bool:
         for (level, residues), (lo, unit, prec) in zip(balls, point):
-            if residues is None:
-                return False
             stop = level if prec >= level else prec
             if (unit * pows[lo] % pows[stop] if lo < stop else 0) != residues[stop]:
                 return False

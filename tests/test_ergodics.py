@@ -257,6 +257,16 @@ class TestInvarianceMC:
                     outcome = "exhausted"
                 assert outcome is expected
 
+    def test_integer_membership_of_centres_outside_p_z_p(self):
+        # a point of p*Z_p is in neither 1/2 + 4Z_2 (centre outside Z_2) nor
+        # 1 + 4Z_2 (centre a unit), whatever its precision
+        for centre in (Fraction(1, 2), Fraction(1)):
+            cyl = ProductCylinder((Ball(P2, centre, 2),))
+            for triple in ((1, 0b11, 3), (1, 0, 2), (2, 0, 2)):
+                x = (PadicApprox(P2, *triple),)
+                assert cyl.contains(x) is False
+                assert _membership(cyl)([triple]) is False
+
     def test_exact_decomposition_identity(self):
         # summing preimage measures over enumerated branches reproduces the
         # cylinder measure scaled by the enumerated branch mass
