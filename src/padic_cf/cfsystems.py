@@ -233,18 +233,19 @@ def _coerce_point(spec: SystemSpec, coords: tuple):
     if len(coords) != spec.m:
         raise ValueError(f"expected {spec.m} coordinates, got {len(coords)}")
     ctx = spec.ctx
-    digits = 0
+    precs = []
     for c in coords:
         if isinstance(c, PadicApprox):
             if c.ctx.p != ctx.p:
                 raise ValueError("coordinate prime differs from system prime")
             if not c.is_exact_zero:
-                digits = max(digits, c.abs_prec)
-    if not digits:
+                precs.append(c.abs_prec)
+    if not precs:
         out = tuple(Fraction(0) if isinstance(c, PadicApprox) else as_fraction(c) for c in coords)
         if any(c != 0 and valuation(c, ctx) < 1 for c in out):
             raise ValueError("point must lie in (p*Z_p)^m")
         return True, out
+    digits = max(precs)
     triples = []
     for c in coords:
         if not isinstance(c, PadicApprox):

@@ -100,6 +100,15 @@ class TestOneDimStep:
         with pytest.raises(ValueError):
             step(s, Fraction(1, 3))
 
+    def test_rejects_approximations_outside_phase_space(self):
+        # known to no digit, or with a digit at position -1: not in p*Z_p
+        s = SystemSpec.schneider(P2)
+        for x in (PadicApprox(P2, 0, 0, 0), PadicApprox(P2, -1, 1, 0), PadicApprox(P2, 0, 1, 3)):
+            with pytest.raises(ValueError, match="p\\*Z_p"):
+                step(s, x)
+            with pytest.raises(ValueError, match="p\\*Z_p"):
+                step(SystemSpec.jacobi_perron(P2, 2), (Fraction(2), x))
+
     def test_digit_invariants_on_samples(self):
         rng = random.Random(5)
         for spec in (
