@@ -226,35 +226,45 @@ EXACT_ZERO = (INF, 0, INF)  # an exact zero as a step_core triple
 
 
 def _coerce_point(spec: SystemSpec, coords: tuple):
-    """(True, Fractions) for a point without approximations, else (False,
-    step_core triples); ValueError for any other input.  Beside approximations
-    an exact coordinate is read to the digits of the most precise one, enough
-    for every term computed from an approximation to keep its precision."""
+    """(exact, triples) for a point of (p*Z_p)^m; ValueError for any other
+    input.  exact[k] is coordinate k + 1 as a Fraction, None for an
+    approximation; an exact-zero PadicApprox counts as exact.  triples are
+    the step_core coordinates, None for a point without approximations.
+
+    Beside approximations an exact coordinate is read to the digits of the
+    most precise one.  That is enough for every term computed from an
+    approximation to keep its precision, and whenever those terms can be
+    split, a term of exact coordinates keeps a digit below position 1 too
+    (step then splits it exactly)."""
     if len(coords) != spec.m:
         raise ValueError(f"expected {spec.m} coordinates, got {len(coords)}")
     ctx = spec.ctx
+    exact = []
     precs = []
     for c in coords:
         if isinstance(c, PadicApprox):
             if c.ctx.p != ctx.p:
                 raise ValueError("coordinate prime differs from system prime")
             if not c.is_exact_zero:
+                exact.append(None)
                 precs.append(c.abs_prec)
+                continue
+            c = 0
+        exact.append(as_fraction(c))
+    vals = [valuation(c, ctx) for c in exact if c]
+    if any(v < 1 for v in vals):
+        raise ValueError("point must lie in (p*Z_p)^m")
     if not precs:
-        out = tuple(Fraction(0) if isinstance(c, PadicApprox) else as_fraction(c) for c in coords)
-        if any(c != 0 and valuation(c, ctx) < 1 for c in out):
-            raise ValueError("point must lie in (p*Z_p)^m")
-        return True, out
+        return exact, None
     digits = max(precs)
     triples = []
-    for c in coords:
-        if not isinstance(c, PadicApprox):
-            c = as_fraction(c)
-            c = PadicApprox.from_rational(c, ctx, valuation(c, ctx) + digits)
-        if c.valuation_lower_bound() < 1:
+    for c, x in zip(coords, exact):
+        if x is not None:
+            c = PadicApprox.from_rational(x, ctx, valuation(x, ctx) + digits)
+        elif c.valuation_lower_bound() < 1:
             raise ValueError("point must lie in (p*Z_p)^m")
         triples.append((c._lo, c._unit, c._prec))
-    return False, triples
+    return exact, triples
 
 
 def _depth_split(depth: int, ell) -> tuple[int, int]:
@@ -381,26 +391,23 @@ def step_core(spec: SystemSpec, coords, want: int | None = None):
     return i, pexp, entries, nxt
 
 
-def _step_exact(spec: SystemSpec, coords: tuple):
-    """step on exact coordinates, in Fraction arithmetic: (i, pexp, qvec, ys)."""
+def _exact_terms(spec: SystemSpec, coords, i: int, pexp) -> list:
+    """(q_k, y_k) per slot k in Fraction arithmetic, for the slots whose
+    term p**r_k * x_sigma(k) / x_i, or p**r_k / x_i when sigma(k) = i, has
+    exact coordinates only; None for the others.  coords[k] is coordinate
+    k + 1 as a Fraction, None for an approximation."""
     ctx = spec.ctx
-    p = ctx.p
-    infos = [("zero", None) if c == 0 else ("ord", valuation(c, ctx)) for c in coords]
-    i, rs = _rules(spec, infos)
-    inv = 1 / coords[i - 1]
-    pexp, qvec, ys = [], [], []
-    for src, r in zip(spec.sigma, rs):
-        if r is None:
-            pexp.append(0)
-            qvec.append(Fraction(0))
-            ys.append(Fraction(0))
+    pivot = coords[i - 1]
+    out = []
+    for src, r in zip(spec.sigma, pexp):
+        x = coords[src - 1]
+        if pivot is None or x is None:
+            out.append(None)
             continue
-        arg = (inv if src == i else coords[src - 1] * inv) * p**r
+        arg = (1 if src == i else x) / pivot * ctx.p**r
         q = integral_part(arg, ctx)
-        pexp.append(r)
-        qvec.append(q)
-        ys.append(arg - q)
-    return i, pexp, qvec, ys
+        out.append((q, arg - q))
+    return out
 
 
 def step(spec: SystemSpec, x):
@@ -412,23 +419,29 @@ def step(spec: SystemSpec, x):
     split into its integral part q_k (the digit entry) and its fractional part
     y_k (the next point).
 
-    An exact point steps in Fraction arithmetic, any other in step_core,
-    whose results become PadicApprox values (an exact zero stays
-    Fraction(0)).  Raises ExpansionTerminated when the pivot coordinate is
-    exactly zero and PrecisionExhausted when an approximation cannot support
-    the step.  A scalar is accepted when m = 1, and the next point has the
-    input's shape.
+    A term of exact coordinates over an exact pivot is split in Fraction
+    arithmetic and stays exact.  A point with approximations steps in
+    step_core, whose other terms become PadicApprox values (an exact zero
+    stays Fraction(0)).  Raises ExpansionTerminated when the pivot coordinate
+    is exactly zero and PrecisionExhausted when an approximation cannot
+    support the step.  A scalar is accepted when m = 1, and the next point
+    has the input's shape.
     """
     scalar = not isinstance(x, (tuple, list))
-    exact, coords = _coerce_point(spec, (x,) if scalar else tuple(x))
-    if exact:
-        i, pexp, qvec, ys = _step_exact(spec, coords)
+    exact, triples = _coerce_point(spec, (x,) if scalar else tuple(x))
+    ctx = spec.ctx
+    if triples is None:
+        infos = [("zero", None) if c == 0 else ("ord", valuation(c, ctx)) for c in exact]
+        i, rs = _rules(spec, infos)
+        pexp = [0 if r is None else r for r in rs]
+        qvec, ys = zip(*_exact_terms(spec, exact, i, pexp))
     else:
-        i, pexp, entries, nxt = step_core(spec, coords)
-        ctx = spec.ctx
-        p = ctx.p
-        qvec = [Fraction(w, p**c) for w, c in entries]
+        i, pexp, entries, nxt = step_core(spec, triples)
+        qvec = [Fraction(w, ctx.p**c) for w, c in entries]
         ys = [Fraction(0) if y == EXACT_ZERO else PadicApprox(ctx, *y) for y in nxt]
+        for k, term in enumerate(_exact_terms(spec, exact, i, pexp)):
+            if term is not None:
+                qvec[k], ys[k] = term
     if spec.kind == ONE_DIM:
         digit = Digit1D(pexp[0], qvec[0])
     else:

@@ -243,31 +243,6 @@ def digit_mean_reports(
     return reports[0], reports[1]
 
 
-def _membership(c: ProductCylinder):
-    """c.contains for step_core triples in p*Z_p, as congruences to the
-    ball centres, with ProductCylinder.contains's semantics: balls in order,
-    False at the first miss, PrecisionExhausted at the first ball whose
-    known digits agree but stop short of its level."""
-    p = c.ctx.p
-    pows = [p**k for k in range(max(c.levels) + 1)]
-    # The centre's numerator serves as its residue: a centre outside Z_p has
-    # a numerator prime to p, which no point of p*Z_p matches mod p.
-    balls = [
-        (b.level, [b.center.numerator % pows[k] for k in range(b.level + 1)]) for b in c.balls
-    ]
-
-    def holds(point) -> bool:
-        for (level, residues), (lo, unit, prec) in zip(balls, point):
-            stop = level if prec >= level else prec
-            if (unit * pows[lo] % pows[stop] if lo < stop else 0) != residues[stop]:
-                return False
-            if stop < level:
-                raise PrecisionExhausted("membership not determined at this precision")
-        return True
-
-    return holds
-
-
 def _cylinder_mc(
     spec: SystemSpec,
     c: ProductCylinder,
@@ -279,10 +254,10 @@ def _cylinder_mc(
     """Fraction of Haar samples x (preimage: of their images T(x)) in c.
 
     Samples are haar_sample_vector's draws at max(c.levels) + 48 digits, kept
-    as step_core triples.  A sample whose step or membership test raises is
-    dropped, so the estimate is conditioned on the completed samples:
-    n_samples is the count done, and fewer than half done raises
-    InsufficientData.
+    as step_core triples and tested with ProductCylinder.contains_digits.  A
+    sample whose step or membership test raises is dropped, so the estimate
+    is conditioned on the completed samples: n_samples is the count done, and
+    fewer than half done raises InsufficientData.
     """
     if c.m != spec.m:
         raise ValueError("cylinder dimension mismatch")
@@ -290,7 +265,6 @@ def _cylinder_mc(
     precision = want + 48
     top = spec.ctx.p**precision
     m = spec.m
-    holds = _membership(c)
 
     def run_shard(args):
         shard_seed, shard_samples = args
@@ -303,7 +277,7 @@ def _cylinder_mc(
             try:
                 if preimage:
                     point = step_core(spec, point, want)[3]
-                inside = holds(point)
+                inside = c.contains_digits(point)
             except (PrecisionExhausted, ExpansionTerminated):
                 continue
             done += 1

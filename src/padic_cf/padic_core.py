@@ -504,19 +504,31 @@ class Ball:
     def contains(self, x) -> bool:
         """Exact membership for rationals; at-precision membership for approximations."""
         if isinstance(x, PadicApprox):
-            if x.is_exact_zero:
-                return self._cunit == 0
-            stop = min(self.level, x.abs_prec)
-            lo = min(self._clo, x._lo)
-            ndig = stop - lo
-            cu = (self._cunit * self.ctx.p ** (self._clo - lo)) % self.ctx.p**ndig if ndig > 0 else 0
-            if x._unit_shifted(lo, ndig) != cu:
-                return False
-            if stop < self.level:
-                raise PrecisionExhausted("membership not determined at this precision")
-            return True
+            return self.contains_digits(x._lo, x._unit, x._prec)
         diff = x - self.center
         return valuation(Fraction(diff), self.ctx) >= self.level
+
+    def contains_digits(self, lo: int, unit: int, prec) -> bool:
+        """contains for the approximation p**lo * unit known mod p**prec, on
+        PadicApprox's own integers; prec = inf with unit 0 is the exact zero.
+        The unit may be divisible by p, and its digits at or above prec are
+        ignored.  False when a known digit below the level differs from the
+        centre's; PrecisionExhausted when all known digits agree but stop
+        short of the level."""
+        if prec == INF:
+            return self._cunit == 0
+        level = self.level
+        stop = level if prec >= level else prec
+        clo = self._clo
+        base = lo if lo < clo else clo
+        if stop > base:
+            p = self.ctx.p
+            diff = unit * p ** (lo - base) - self._cunit * p ** (clo - base)
+            if diff % p ** (stop - base):
+                return False
+        if stop < level:
+            raise PrecisionExhausted("membership not determined at this precision")
+        return True
 
     def random_element(self, rng: random.Random, depth: int = 48) -> Fraction:
         """A random exact rational in the ball, uniform over depth extra digit levels."""
@@ -565,6 +577,15 @@ class ProductCylinder:
         if len(xs) != self.m:
             raise ValueError("dimension mismatch")
         return all(b.contains(x) for b, x in zip(self.balls, xs))
+
+    def contains_digits(self, triples) -> bool:
+        """contains for approximations given as (lo, unit, prec) triples, one
+        per ball (Ball.contains_digits): balls in order, False at the first
+        miss, PrecisionExhausted at the first ball the digits cannot decide."""
+        for b, (lo, unit, prec) in zip(self.balls, triples, strict=True):
+            if not b.contains_digits(lo, unit, prec):
+                return False
+        return True
 
     def random_element(self, rng: random.Random, depth: int = 48) -> tuple[Fraction, ...]:
         return tuple(b.random_element(rng, depth) for b in self.balls)

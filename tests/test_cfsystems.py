@@ -192,6 +192,26 @@ class TestMultiDimStep:
                 checked += 1
         assert checked > 60
 
+    def test_exact_pivot_beside_approximations(self):
+        # the terms of an exact pivot's own slot are split exactly: 1/(2/3)
+        # = 3/2 leaves Fraction(0) in Jacobi-Perron, which becomes the pivot
+        # at step 2 and ends the orbit, and 1/(6/5) leaves -2/3 in Brun; read
+        # as approximations they would run out of precision sooner
+        rng = random.Random(37)
+        jp = SystemSpec.jacobi_perron(P2, 2)
+        for _ in range(10):
+            x = (Fraction(2, 3), haar_sample(P2, 40, rng))
+            d, nxt = step(jp, x)
+            assert d.qvec[1] == Fraction(3, 2) and type(nxt[1]) is Fraction and nxt[1] == 0
+            exp = expand(jp, x, 30)
+            assert (exp.status, exp.stopped_at) == (TERMINATED, 2)
+        brun = SystemSpec.brun(P2, 2)
+        x = (Fraction(6, 5), PadicApprox(P2, 3, 0b101101, 9))
+        d, nxt = step(brun, x)
+        assert d.qvec[0] == Fraction(3, 2) and type(nxt[0]) is Fraction and nxt[0] == Fraction(-2, 3)
+        exp = expand(brun, x, 30)
+        assert (exp.status, exp.stopped_at) == (EXHAUSTED, 8)
+
     def test_branch_parameters_recomputed_independently(self):
         # inline re-derivation of the parameter vectors from the definition
         rng = random.Random(29)

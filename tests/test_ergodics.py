@@ -43,7 +43,7 @@ from padic_cf import (
     theoretical_digit_means,
     valuation,
 )
-from padic_cf.ergodics import StatReport, _membership, _run_sharded
+from padic_cf.ergodics import StatReport, _run_sharded
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -250,7 +250,7 @@ class TestInvarianceMC:
         ):
             cyl = ProductCylinder(balls)
             point = tuple(PadicApprox(P2, *t) for t in triples)
-            for test in (lambda: cyl.contains(point), lambda: _membership(cyl)(triples)):
+            for test in (lambda: cyl.contains(point), lambda: cyl.contains_digits(triples)):
                 try:
                     outcome = test()
                 except PrecisionExhausted:
@@ -259,13 +259,16 @@ class TestInvarianceMC:
 
     def test_integer_membership_of_centres_outside_p_z_p(self):
         # a point of p*Z_p is in neither 1/2 + 4Z_2 (centre outside Z_2) nor
-        # 1 + 4Z_2 (centre a unit), whatever its precision
+        # 1 + 4Z_2 (centre a unit), whatever its precision, and the triple of
+        # an exact zero is in neither
         for centre in (Fraction(1, 2), Fraction(1)):
             cyl = ProductCylinder((Ball(P2, centre, 2),))
             for triple in ((1, 0b11, 3), (1, 0, 2), (2, 0, 2)):
                 x = (PadicApprox(P2, *triple),)
                 assert cyl.contains(x) is False
-                assert _membership(cyl)([triple]) is False
+                assert cyl.contains_digits([triple]) is False
+            assert cyl.contains((PadicApprox.exact_zero(P2),)) is False
+            assert cyl.contains_digits([(INF, 0, INF)]) is False
 
     def test_exact_decomposition_identity(self):
         # summing preimage measures over enumerated branches reproduces the

@@ -263,6 +263,36 @@ class TestBallsAndMeasure:
         assert b.contains(Fraction(10))
         assert not b.contains(Fraction(4))
 
+    def test_membership_of_digit_triples(self):
+        # oracle in Fractions: p**lo * unit + O(p**prec) misses the ball when
+        # it differs from the centre below min(level, prec), is undecided when
+        # it agrees there and prec < level, and is inside otherwise; the unit
+        # may be divisible by p and carry digits at or above prec
+        rng = random.Random(4)
+        seen = set()
+        for ctx in (P2, P3, P5):
+            p = ctx.p
+            for _ in range(300):
+                level = rng.randint(1, 5)
+                centre = Fraction(rng.randrange(p**6), p ** rng.randint(0, 2)) * p ** rng.randint(0, 3)
+                b = Ball(ctx, centre, level)
+                lo, prec = rng.randint(-2, 4), rng.randint(-1, 7)
+                unit = rng.randrange(p**8)
+                diff = Fraction(unit) * Fraction(p) ** lo - b.center
+                stop = min(level, prec)
+                if diff != 0 and valuation(diff, ctx) < stop:
+                    expected = False
+                else:
+                    expected = True if prec >= level else "exhausted"
+                try:
+                    outcome = b.contains_digits(lo, unit, prec)
+                except PrecisionExhausted:
+                    outcome = "exhausted"
+                assert outcome is expected
+                seen.add(expected)
+                assert b.contains_digits(INF, 0, INF) is (b.center == 0)
+        assert seen == {True, False, "exhausted"}
+
     def test_measure_examples(self):
         assert measure(Ball(P2, Fraction(0), 1)) == 1
         assert measure(Ball(P3, Fraction(3), 2)) == Fraction(1, 3)

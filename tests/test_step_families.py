@@ -50,7 +50,6 @@ from padic_cf import (
     step,
 )
 from padic_cf.cfsystems import digit_to_obj, step_core
-from padic_cf.ergodics import _membership
 
 DIGESTS = Path(__file__).parent / "golden" / "step_digests.txt"
 
@@ -181,15 +180,15 @@ def _outcome(fn):
 def test_integer_sample_path_matches_step_and_contains(name, make, p):
     """Sample by sample, on points of 1 to 6 digits, so that steps and
     membership tests run out of precision: step_core asked for the digits
-    below max(c.levels), then the congruence test, decides as step then
-    ProductCylinder.contains does (True, False or the error raised)."""
+    below max(c.levels), then ProductCylinder.contains_digits on its
+    unnormalised triples, decides as step then ProductCylinder.contains does
+    (True, False or the error raised)."""
     ctx = PrimeCtx(p)
     spec = make(ctx)
     rng = random.Random(f"integer/{name}/p{p}")
     seen = set()
     for _ in range(25):
         c = random_cylinder(rng, ctx, spec.m, max_level=4)
-        holds = _membership(c)
         want = max(c.levels)
         for n_digits in (1, 2, 3, 4, 6):
             for _ in range(4):
@@ -197,9 +196,9 @@ def test_integer_sample_path_matches_step_and_contains(name, make, p):
                 x = tuple(PadicApprox(ctx, 1, u, n_digits + 1) for u in units)
                 triples = [(1, u, n_digits + 1) for u in units]
                 direct = _outcome(lambda: c.contains(x))
-                assert _outcome(lambda: holds(triples)) == direct
+                assert _outcome(lambda: c.contains_digits(triples)) == direct
                 image = _outcome(lambda: c.contains(step(spec, x)[1]))
-                assert _outcome(lambda: holds(step_core(spec, triples, want)[3])) == image
+                assert _outcome(lambda: c.contains_digits(step_core(spec, triples, want)[3])) == image
                 seen.update((direct, image))
     assert {True, False, "PrecisionExhausted"} <= seen
 
