@@ -250,19 +250,20 @@ def _coerce_point(spec: SystemSpec, coords: tuple):
                 precs.append(c.abs_prec)
                 continue
             c = 0
-        exact.append(as_fraction(c))
-    vals = [valuation(c, ctx) for c in exact if c]
-    if any(v < 1 for v in vals):
-        raise ValueError("point must lie in (p*Z_p)^m")
+        c = as_fraction(c)
+        if c and valuation(c, ctx) < 1:
+            raise ValueError("point must lie in (p*Z_p)^m")
+        exact.append(c)
     if not precs:
         return exact, None
     digits = max(precs)
     triples = []
     for c, x in zip(coords, exact):
-        if x is not None:
+        if x is None:
+            if c.valuation_lower_bound() < 1:
+                raise ValueError("point must lie in (p*Z_p)^m")
+        else:
             c = PadicApprox.from_rational(x, ctx, valuation(x, ctx) + digits)
-        elif c.valuation_lower_bound() < 1:
-            raise ValueError("point must lie in (p*Z_p)^m")
         triples.append((c._lo, c._unit, c._prec))
     return exact, triples
 
@@ -393,15 +394,15 @@ def step_core(spec: SystemSpec, coords, want: int | None = None):
 
 def _exact_terms(spec: SystemSpec, coords, i: int, pexp) -> list:
     """(q_k, y_k) per slot k in Fraction arithmetic, for the slots whose
-    term p**r_k * x_sigma(k) / x_i, or p**r_k / x_i when sigma(k) = i, has
-    exact coordinates only; None for the others.  coords[k] is coordinate
-    k + 1 as a Fraction, None for an approximation."""
+    term p**r_k * x_sigma(k) / x_i, or p**r_k / x_i when sigma(k) = i, has an
+    exact coordinate over the exact pivot x_i; None for the others.
+    coords[k] is coordinate k + 1 as a Fraction, None for an approximation."""
     ctx = spec.ctx
     pivot = coords[i - 1]
     out = []
     for src, r in zip(spec.sigma, pexp):
         x = coords[src - 1]
-        if pivot is None or x is None:
+        if x is None:
             out.append(None)
             continue
         arg = (1 if src == i else x) / pivot * ctx.p**r
@@ -439,9 +440,10 @@ def step(spec: SystemSpec, x):
         i, pexp, entries, nxt = step_core(spec, triples)
         qvec = [Fraction(w, ctx.p**c) for w, c in entries]
         ys = [Fraction(0) if y == EXACT_ZERO else PadicApprox(ctx, *y) for y in nxt]
-        for k, term in enumerate(_exact_terms(spec, exact, i, pexp)):
-            if term is not None:
-                qvec[k], ys[k] = term
+        if exact[i - 1] is not None:
+            for k, term in enumerate(_exact_terms(spec, exact, i, pexp)):
+                if term is not None:
+                    qvec[k], ys[k] = term
     if spec.kind == ONE_DIM:
         digit = Digit1D(pexp[0], qvec[0])
     else:
