@@ -561,11 +561,6 @@ def convergents(spec: SystemSpec, digits):
         yield vec[0] if spec.kind == ONE_DIM else vec
 
 
-def digit_functionals(d: Digit1D) -> tuple[Fraction, int]:
-    """(a, b) = (v, k): the two observables averaged by the ergodic harness."""
-    return d.v, d.k
-
-
 def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, int, int]]:
     """(d1, r_m, u, base, max_r) for each pivot depth d1 = 1, 2, ... with a
     branch of iota <= iota_bound.

@@ -48,18 +48,6 @@ class CliError(Exception):
     pass
 
 
-def _parse_ell(s: str):
-    if s == "inf":
-        return INF
-    try:
-        v = int(s)
-    except ValueError:
-        raise CliError(f"invalid --l value {s!r}")
-    if v < 0:
-        raise CliError("--l must be >= 0 or 'inf'")
-    return v
-
-
 def _count(s: str) -> int:
     """argparse type for counts that must be >= 1; argparse prefixes the flag."""
     try:
@@ -79,6 +67,19 @@ def _prime(s: str) -> int:
         raise argparse.ArgumentTypeError(f"expected a prime, got {s!r}")
     if not is_prime(v):
         raise argparse.ArgumentTypeError(f"must be prime, got {v}")
+    return v
+
+
+def _ell(s: str):
+    """argparse type for --l, an integer >= 0 or 'inf'; argparse prefixes the flag."""
+    if s == "inf":
+        return INF
+    try:
+        v = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0 or 'inf', got {s!r}")
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 or 'inf', got {s!r}")
     return v
 
 
@@ -106,22 +107,19 @@ def _build_spec(args) -> SystemSpec:
         raise CliError(f"argument --l: --system {system} {_NO_L[system]}")
     if args.m != 1 and system in ("schneider", "ruban"):
         raise CliError(f"argument --m: --system {system} is one-dimensional, got {args.m}")
-    ell = _parse_ell(args.l) if args.l is not None else None
     if system == "schneider":
         return SystemSpec.schneider(ctx)
     if system == "ruban":
         return SystemSpec.ruban(ctx)
     if system == "tl":
-        if ell is None:
-            raise CliError("--system tl requires --l")
+        if args.l is None:
+            raise CliError("argument --l: required by --system tl")
         if args.m > 1:
-            return SystemSpec.multi_dim(ctx, ell, args.m)
-        return SystemSpec.one_dim(ctx, ell)
+            return SystemSpec.multi_dim(ctx, args.l, args.m)
+        return SystemSpec.one_dim(ctx, args.l)
     if system == "jacobi-perron":
-        return SystemSpec.multi_dim(ctx, INF if ell is None else ell, args.m)
-    if system == "brun":
-        return SystemSpec.brun(ctx, args.m)
-    raise CliError(f"unknown system {system!r}")
+        return SystemSpec.multi_dim(ctx, INF if args.l is None else args.l, args.m)
+    return SystemSpec.brun(ctx, args.m)
 
 
 def _parse_point(spec: SystemSpec, tokens: list[str], seed: int, name: str = "point") -> tuple:
@@ -300,7 +298,7 @@ def cmd_stats(args, out) -> int:
         rep = ergodics.mixing_exact(A, B, args.n, iota_bound=args.bound)
         passed = abs(rep.lhs - rep.rhs) <= rep.tail_bound
         rows.append(("mixing", rep.lhs, 0.0, rep.rhs, passed))
-    elif args.check == "invariance":
+    else:  # invariance
         rng = random.Random(args.seed)
         for idx in range(args.cylinders):
             c = ergodics.random_cylinder(rng, spec.ctx, spec.m, max_level=3)
@@ -310,8 +308,6 @@ def cmd_stats(args, out) -> int:
             rows.append(
                 (f"invariance-{idx}", rep.estimate, rep.stderr, rep.theoretical, rep.within(4.0))
             )
-    else:
-        raise CliError(f"unknown check {args.check!r}")
 
     if args.format == "json":
         for check, est, se, theo, passed in rows:
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
             required=True,
             choices=["schneider", "ruban", "tl", "jacobi-perron", "brun"],
         )
-        sp.add_argument("--l", default=None, help="depth parameter, integer or 'inf'")
+        sp.add_argument("--l", type=_ell, default=None, help="depth parameter, integer or 'inf'")
         sp.add_argument("--m", type=_count, default=None, help="dimension")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--precision", type=_count, default=None, help="digits for random points")
@@ -433,16 +429,13 @@ def main(argv: list[str] | None = None, out=None) -> int:
             return cmd_convergents(args, out)
         if args.command == "branches":
             return cmd_branches(args, out)
-        if args.command == "stats":
-            return cmd_stats(args, out)
-        raise CliError(f"unknown command {args.command!r}")
-    except NotImplementedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return cmd_stats(args, out)
     except ShardProcessDied as exc:
         print(f"error: {exc}; --threads 1 runs every shard in this process", file=sys.stderr)
         return 2
-    except (CliError, PadicError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (
+        CliError, PadicError, NotImplementedError, ValueError, ZeroDivisionError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

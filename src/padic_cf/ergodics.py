@@ -4,7 +4,8 @@ Exact side: symbolic cylinder measures (products of inverse branch factors),
 branch-family measure sums with closed-form tails, and the exact mixing
 identity on cylinders.  Monte Carlo side: Birkhoff averages of the digit
 observables and invariance checks on random cylinders, with exact rational
-accumulation and 4-standard-error tolerances.
+accumulation and 4-standard-error tolerances.  Both Monte Carlo drivers step
+integer triples with cfsystems.step_core.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .cfsystems import (
     SystemSpec,
     branch_counts,
     branch_lft,
-    digit_functionals,
     enumerate_branches,
-    step,
     step_core,
 )
 from .errors import (
@@ -37,7 +36,6 @@ from .padic_core import (
     Ball,
     PrimeCtx,
     ProductCylinder,
-    haar_sample_vector,
     measure,
 )
 
@@ -192,23 +190,33 @@ def digit_mean_reports(
         raise ValueError("digit observables are defined for one-dimensional systems")
     if precision is None:
         precision = 4 * n_steps
+    if precision < 1:
+        raise ValueError("need at least one digit")
+    p = spec.ctx.p
+    top = p**precision
 
     def run_shard(args):
         shard_seed, shard_samples = args
-        rng = random.Random(shard_seed)
+        draw = random.Random(shard_seed).randrange
         tot_a = Fraction(0)
         tot_a_sq = Fraction(0)
         tot_b = 0
         tot_b_sq = 0
         count = 0
         for _ in range(shard_samples):
-            x = haar_sample_vector(spec.ctx, 1, precision, rng)[0]
+            # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
+            point = [(1, draw(top), precision + 1)]
             for _ in range(n_steps):
                 try:
-                    digit, x = step(spec, x)
+                    _, pexp, entries, point = step_core(spec, point)
                 except (PrecisionExhausted, ExpansionTerminated):
                     break
-                a, b = digit_functionals(digit)
+                # point goes back unnormalised: at m = 1 its unit is the pivot
+                # unit's inverse mod p**(P - d) less the digits split off, so
+                # below p**(abs_prec - ord) (P, d the pivot's abs_prec, ord)
+                w, c = entries[0]
+                a = Fraction(w, p**c)
+                b = pexp[0]
                 tot_a += a
                 tot_a_sq += a * a
                 tot_b += b

@@ -194,12 +194,7 @@ def integral_part(x, ctx: PrimeCtx | None = None) -> Fraction:
         return x._split_at_one()[0]
     if ctx is None:
         raise TypeError("ctx is required for exact values")
-    x = Fraction(x)
-    v = valuation(x, ctx)
-    if v == INF or v >= 1:
-        return Fraction(0)
-    u = _unit_mod(x, ctx.p, v, 1 - v)
-    return Fraction(u * ctx.p**v) if v >= 0 else Fraction(u, ctx.p**-v)
+    return _truncate_below(Fraction(x), ctx, 1)
 
 
 def fractional_part(x, ctx: PrimeCtx | None = None):

@@ -20,7 +20,6 @@ from padic_cf import (
     convergent,
     convergents,
     digit_class,
-    digit_functionals,
     digit_values,
     enumerate_branches,
     expand,
@@ -535,10 +534,6 @@ class TestDigitValidation:
         assert pivot_valuation(spec, DigitMD((0, 0), (Fraction(0), Fraction(3, 2)), 2)) == 1
         with pytest.raises(InvalidDigit):
             pivot_valuation(spec, DigitMD((0, 0), (Fraction(1), Fraction(3, 2)), 2))
-
-    def test_functionals(self):
-        assert digit_functionals(Digit1D(1, Fraction(1))) == (Fraction(1), 1)
-        assert digit_functionals(Digit1D(0, Fraction(3, 2))) == (Fraction(3, 2), 0)
 
 
 class TestSerialization:

@@ -326,6 +326,19 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert f"argument --l: --system {system} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "l_args,message",
+        [
+            (["--l", "abc"], "argument --l: expected an integer >= 0 or 'inf', got 'abc'"),
+            (["--l", "-1"], "argument --l: must be >= 0 or 'inf', got '-1'"),
+            ([], "argument --l: required by --system tl"),
+        ],
+        ids=["syntax", "negative", "missing"],
+    )
+    def test_l_value(self, capsys, l_args, message):
+        code, out = run_cli(["branches", "--p", "2", "--system", "tl"] + l_args)
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -12,7 +12,9 @@ p in {2, 3, 5}:
 
 The same configurations check the integer path of the cylinder Monte Carlo
 against `step` and `ProductCylinder.contains`: sample by sample on
-low-precision points, and report by report against a reference loop.
+low-precision points, and report by report against a reference loop.  The
+one-dimensional ones check the digit-means Monte Carlo, also on the integer
+path, report by report against a reference loop on `step`.
 
 Regenerate the digest file only when a change to the outputs is intended:
 
@@ -31,6 +33,7 @@ import pytest
 
 from padic_cf import (
     ExpansionTerminated,
+    InsufficientData,
     PadicApprox,
     PadicError,
     PrecisionExhausted,
@@ -38,6 +41,7 @@ from padic_cf import (
     SystemSpec,
     apply_forward,
     branch_lft,
+    digit_mean_reports,
     expand,
     expansion_records,
     format_approx,
@@ -233,6 +237,63 @@ def test_cylinder_mc_matches_reference_loop(name, make, p):
             est = Fraction(hits, done)
             assert (rep.estimate, rep.n_samples) == (float(est), done)
             assert rep.stderr == math.sqrt(float(est * (1 - est)) / done)
+
+
+def _reference_digit_means(spec, n_samples, n_steps, seed, precision):
+    """((estimate, stderr) of a, of b), or None where too few digits complete,
+    written with the value types: Haar samples, step and Digit1D.v/.k, in
+    shards of 250 samples seeded seed, seed + 1, ..."""
+    a_values, b_values = [], []
+    for idx, start in enumerate(range(0, n_samples, 250)):
+        rng = random.Random(seed + idx)
+        for _ in range(min(250, n_samples - start)):
+            x = haar_sample_vector(spec.ctx, 1, precision, rng)[0]
+            for _ in range(n_steps):
+                try:
+                    d, x = step(spec, x)
+                except (PrecisionExhausted, ExpansionTerminated):
+                    break
+                a_values.append(d.v)
+                b_values.append(d.k)
+    n = len(a_values)
+    if n < (n_samples * n_steps) // 2:
+        return None
+    out = []
+    for values in (a_values, b_values):
+        mean = sum(values, Fraction(0)) / n
+        var = sum((v * v for v in values), Fraction(0)) / n - mean * mean
+        out.append((float(mean), math.sqrt(max(float(var), 0.0) / n)))
+    return tuple(out)
+
+
+ONE_DIM_CASES = [case for case in CASES if case[0] in ("schneider", "ruban", "t1", "t2")]
+
+
+@pytest.mark.parametrize(
+    "name,make,p", ONE_DIM_CASES, ids=[f"{name}-p{p}" for name, _, p in ONE_DIM_CASES]
+)
+def test_digit_means_match_reference_loop(name, make, p):
+    # 260 samples are two shards.  At 2 * n_steps digits most orbits run out
+    # mid-way; at n_steps digits most configurations complete too few steps.
+    spec = make(PrimeCtx(p))
+    n_samples, n_steps = 260, 12
+    seed = random.Random(f"digit-means/{name}/p{p}").randrange(10**6)
+    for precision in (None, 2 * n_steps, n_steps):
+        ref = _reference_digit_means(
+            spec, n_samples, n_steps, seed, 4 * n_steps if precision is None else precision
+        )
+        if ref is None:
+            with pytest.raises(InsufficientData):
+                digit_mean_reports(spec, n_samples, n_steps, seed, precision=precision)
+            continue
+        reports = digit_mean_reports(spec, n_samples, n_steps, seed, precision=precision)
+        for rep, (estimate, stderr) in zip(reports, ref):
+            assert (rep.estimate, rep.stderr, rep.n_samples) == (estimate, stderr, n_samples)
+
+
+def test_digit_means_need_a_digit():
+    with pytest.raises(ValueError):
+        digit_mean_reports(SystemSpec.schneider(PrimeCtx(2)), 10, 5, 0, precision=0)
 
 
 if __name__ == "__main__":
