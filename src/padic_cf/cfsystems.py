@@ -45,7 +45,6 @@ from .padic_core import (
     _inv_unit,
     as_fraction,
     format_rational,
-    integral_part,
     parse_rational,
     valuation,
 )
@@ -226,46 +225,40 @@ EXACT_ZERO = (INF, 0, INF)  # an exact zero as a step_core triple
 
 
 def _coerce_point(spec: SystemSpec, coords: tuple):
-    """(exact, triples) for a point of (p*Z_p)^m; ValueError for any other
-    input.  exact[k] is coordinate k + 1 as a Fraction, None for an
-    approximation; an exact-zero PadicApprox counts as exact.  triples are
-    the step_core coordinates, None for a point without approximations.
+    """(x0, triples), the step_core form of a point of (p*Z_p)^m; ValueError
+    for any other input.
 
-    Beside approximations an exact coordinate is read to the digits of the
-    most precise one.  That is enough for every term computed from an
-    approximation to keep its precision, and whenever those terms can be
-    split, a term of exact coordinates keeps a digit below position 1 too
-    (step then splits it exactly)."""
+    x0 is the lcm of the denominators of the exact coordinates, prime to p
+    because they lie in p*Z_p.  An exact coordinate num/den (an exact-zero
+    PadicApprox counts as 0) becomes (0, num * (x0 // den), inf), and an
+    approximation its own (ord, unit * x0, abs_prec)."""
     if len(coords) != spec.m:
         raise ValueError(f"expected {spec.m} coordinates, got {len(coords)}")
     ctx = spec.ctx
-    exact = []
-    precs = []
+    x0 = 1
+    outside = False  # an approximation below p*Z_p, reported after the other checks
+    vals = []
     for c in coords:
         if isinstance(c, PadicApprox):
             if c.ctx.p != ctx.p:
                 raise ValueError("coordinate prime differs from system prime")
             if not c.is_exact_zero:
-                exact.append(None)
-                precs.append(c.abs_prec)
+                outside = outside or c._lo < 1
+                vals.append(c)
                 continue
             c = 0
         c = as_fraction(c)
         if c and valuation(c, ctx) < 1:
             raise ValueError("point must lie in (p*Z_p)^m")
-        exact.append(c)
-    if not precs:
-        return exact, None
-    digits = max(precs)
-    triples = []
-    for c, x in zip(coords, exact):
-        if x is None:
-            if c.valuation_lower_bound() < 1:
-                raise ValueError("point must lie in (p*Z_p)^m")
-        else:
-            c = PadicApprox.from_rational(x, ctx, valuation(x, ctx) + digits)
-        triples.append((c._lo, c._unit, c._prec))
-    return exact, triples
+        x0 = math.lcm(x0, c.denominator)
+        vals.append(c)
+    if outside:
+        raise ValueError("point must lie in (p*Z_p)^m")
+    return x0, [
+        (0, c.numerator * (x0 // c.denominator), INF) if isinstance(c, Fraction)
+        else (c._lo, c._unit * x0 if x0 != 1 else c._unit, c._prec)
+        for c in vals
+    ]
 
 
 def _depth_split(depth: int, ell) -> tuple[int, int]:
@@ -326,17 +319,23 @@ def _rules(spec: SystemSpec, infos) -> tuple[int, list]:
     return i, rs
 
 
-def step_core(spec: SystemSpec, coords, want: int | None = None):
-    """step on integers: (pivot i, pexp, entries, nxt), q_k = w / p**c for
-    entries[k] = (w, c).
+def step_core(spec: SystemSpec, x0: int, coords):
+    """step on integers: (pivot i, pexp, entries, x0', nxt), q_k = w / p**c
+    for entries[k] = (w, c).
 
-    A coordinate is (ord, unit, abs_prec): p**ord * unit known mod
-    p**abs_prec, 0 <= unit < p**(abs_prec - ord), p may divide unit.
+    Coordinate k is p**ord * unit / x0 known mod p**abs_prec, for
+    coords[k] = (ord, unit, abs_prec) and an integer x0 prime to p; an exact
+    coordinate has abs_prec = inf, and with unit 0 it is the exact zero.
+    Units may be negative or divisible by p, and their digits at or above
+    abs_prec are ignored.  nxt has the same form over x0', the pivot unit.
+
+    With pivot p**d * u_i / x0, slot s = sigma^-1(i) is p**(r - d) * x0 / u_i
+    and slot k is p**(r + ord_k - d) * u_k / u_i otherwise.  Every integral
+    part lies at positions >= -d, so u_i is inverted mod p**(d + 1) only.
     Precision follows PadicApprox (P - 2*ord on inversion, min on products,
-    +r on shifts), so this raises exactly where step does.  The triples of
-    nxt are not normalised, and their digits at or above abs_prec are
-    garbage.  With `want`, the pivot unit is inverted mod p**(ord + want)
-    only, and nxt is right only below position `want`.
+    +r on shifts), so this raises exactly where step does, and an inf
+    precision passes through min: a term of exact coordinates over an exact
+    pivot stays exact.
     """
     p = spec.ctx.p
     point = []
@@ -346,19 +345,17 @@ def step_core(spec: SystemSpec, coords, want: int | None = None):
             while unit % p == 0:
                 unit //= p
                 lo += 1
+        if unit and lo < prec:
             infos.append(("ord", lo))
         elif prec == INF:
             infos.append(("zero", None))
-        else:
-            lo = prec
+        else:  # no nonzero digit below prec
+            lo, unit = prec, 0
             infos.append(("min", prec))
         point.append((lo, unit, prec))
     i, rs = _rules(spec, infos)
     d, u_i, prec_i = point[i - 1]
-    n = prec_i - d
-    if want is not None and d + want < n:
-        n = d + want
-    inv = _inv_unit(u_i, p, n)
+    inv = pow(u_i, -1, p ** (d + 1))
     inv_prec = prec_i - 2 * d
     pexp, entries, nxt = [], [], []
     for src, r in zip(spec.sigma, rs):
@@ -367,15 +364,13 @@ def step_core(spec: SystemSpec, coords, want: int | None = None):
             entries.append((0, 0))
             nxt.append(EXACT_ZERO)
             continue
-        if src == i:  # p**r / x_i
-            lo, unit, prec = r - d, inv, inv_prec + r
+        if src == i:  # p**r / x_i = p**(r - d) * x0 / u_i
+            lo, unit, prec = r - d, x0, inv_prec + r
         else:  # p**r * x_src / x_i
-            lo_s, u_s, prec_s = point[src - 1]
+            lo_s, unit, prec_s = point[src - 1]
             lo = lo_s - d
             prec = min(prec_s - d, inv_prec + lo_s)
-            if prec > lo:
-                unit = u_s * inv
-            else:  # no digit known: zero at precision
+            if prec <= lo:  # no digit known: zero at precision
                 lo, unit = prec, 0
             lo += r
             prec += r
@@ -386,29 +381,11 @@ def step_core(spec: SystemSpec, coords, want: int | None = None):
             entries.append((0, 0))
             nxt.append((lo, unit, prec))
         else:  # the digits at positions lo .. 0 are the integral part
-            rest, w = divmod(unit, p ** (1 - lo))
+            pc = p ** (1 - lo)
+            w = unit * inv % pc
             entries.append((w, -lo))
-            nxt.append((1, rest, prec))
-    return i, pexp, entries, nxt
-
-
-def _exact_terms(spec: SystemSpec, coords, i: int, pexp) -> list:
-    """(q_k, y_k) per slot k in Fraction arithmetic, for the slots whose
-    term p**r_k * x_sigma(k) / x_i, or p**r_k / x_i when sigma(k) = i, has an
-    exact coordinate over the exact pivot x_i; None for the others.
-    coords[k] is coordinate k + 1 as a Fraction, None for an approximation."""
-    ctx = spec.ctx
-    pivot = coords[i - 1]
-    out = []
-    for src, r in zip(spec.sigma, pexp):
-        x = coords[src - 1]
-        if x is None:
-            out.append(None)
-            continue
-        arg = (1 if src == i else x) / pivot * ctx.p**r
-        q = integral_part(arg, ctx)
-        out.append((q, arg - q))
-    return out
+            nxt.append((1, (unit - w * u_i) // pc, prec))
+    return i, pexp, entries, u_i, nxt
 
 
 def step(spec: SystemSpec, x):
@@ -420,30 +397,26 @@ def step(spec: SystemSpec, x):
     split into its integral part q_k (the digit entry) and its fractional part
     y_k (the next point).
 
-    A term of exact coordinates over an exact pivot is split in Fraction
-    arithmetic and stays exact.  A point with approximations steps in
-    step_core, whose other terms become PadicApprox values (an exact zero
-    stays Fraction(0)).  Raises ExpansionTerminated when the pivot coordinate
-    is exactly zero and PrecisionExhausted when an approximation cannot
-    support the step.  A scalar is accepted when m = 1, and the next point
-    has the input's shape.
+    Exact and approximate coordinates step together in step_core.  An exact
+    coordinate keeps inf precision, so a term of exact coordinates over an
+    exact pivot stays a Fraction (an exact zero stays Fraction(0)), and every
+    other term becomes a PadicApprox.  Raises ExpansionTerminated when the
+    pivot coordinate is exactly zero and PrecisionExhausted when an
+    approximation cannot support the step.  A scalar is accepted when m = 1,
+    and the next point has the input's shape.
     """
     scalar = not isinstance(x, (tuple, list))
-    exact, triples = _coerce_point(spec, (x,) if scalar else tuple(x))
     ctx = spec.ctx
-    if triples is None:
-        infos = [("zero", None) if c == 0 else ("ord", valuation(c, ctx)) for c in exact]
-        i, rs = _rules(spec, infos)
-        pexp = [0 if r is None else r for r in rs]
-        qvec, ys = zip(*_exact_terms(spec, exact, i, pexp))
-    else:
-        i, pexp, entries, nxt = step_core(spec, triples)
-        qvec = [Fraction(w, ctx.p**c) for w, c in entries]
-        ys = [Fraction(0) if y == EXACT_ZERO else PadicApprox(ctx, *y) for y in nxt]
-        if exact[i - 1] is not None:
-            for k, term in enumerate(_exact_terms(spec, exact, i, pexp)):
-                if term is not None:
-                    qvec[k], ys[k] = term
+    p = ctx.p
+    i, pexp, entries, x0, nxt = step_core(spec, *_coerce_point(spec, (x,) if scalar else tuple(x)))
+    qvec = [Fraction(w, p**c) for w, c in entries]
+    n = max([prec - lo for lo, _, prec in nxt if prec != INF], default=0)
+    inv = _inv_unit(x0, p, n) if x0 != 1 else 1
+    ys = [
+        PadicApprox(ctx, lo, unit * inv, prec) if prec != INF
+        else Fraction(unit * p**lo, x0) if unit else Fraction(0)
+        for lo, unit, prec in nxt
+    ]
     if spec.kind == ONE_DIM:
         digit = Digit1D(pexp[0], qvec[0])
     else:

@@ -27,7 +27,7 @@ from .cfsystems import (
     expansion_records,
 )
 from .lft import iota
-from .errors import PadicError, ShardProcessDied
+from .errors import InvalidDigit, PadicError, ShardProcessDied, WordTooShort
 from .padic_core import (
     INF,
     PrimeCtx,
@@ -171,8 +171,11 @@ def cmd_convergents(args, out) -> int:
     if args.digits == "-":
         lines = sys.stdin.read().splitlines()
     else:
-        with open(args.digits, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(args.digits, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise CliError(f"argument digits: cannot read {args.digits!r}: {exc.strerror or exc}")
     digits = []
     for line in lines:
         line = line.strip()
@@ -235,8 +238,9 @@ def _csv_row(out, check, p, l, m, estimate, stderr, theoretical, passed):
     )
 
 
-def _parse_word(text: str, flag: str):
-    """Word syntax for 1-D systems: '(k,v)' letters separated by ';'."""
+def _parse_cylinder(spec: SystemSpec, text: str, flag: str):
+    """The symbolic cylinder of a word: '(k,v)' letters separated by ';', for
+    1-D systems.  Errors name the flag."""
     letters = []
     for part in text.split(";"):
         part = part.strip().strip("()")
@@ -249,7 +253,10 @@ def _parse_word(text: str, flag: str):
             raise CliError(
                 f"argument {flag}: expected '(k,v)' letters separated by ';', got {text!r}"
             )
-    return tuple(letters)
+    try:
+        return ergodics.SymbolicCylinder(spec, letters)
+    except InvalidDigit as exc:
+        raise CliError(f"argument {flag}: {exc}")
 
 
 def cmd_stats(args, out) -> int:
@@ -258,6 +265,11 @@ def cmd_stats(args, out) -> int:
     ell_s = spec.ell_str
     rows = []
     if args.check == "digit-means":
+        if args.precision is not None and args.precision < 4 * args.steps:
+            print(
+                f"warning: precision {args.precision} below 4*steps = {4 * args.steps}",
+                file=sys.stderr,
+            )
         rep_a, rep_b = ergodics.digit_mean_reports(
             spec,
             args.samples,
@@ -293,9 +305,12 @@ def cmd_stats(args, out) -> int:
             raise CliError("mixing check expects a one-dimensional system")
         if not args.wordA or not args.wordB:
             raise CliError("mixing check requires --wordA and --wordB")
-        A = ergodics.SymbolicCylinder(spec, _parse_word(args.wordA, "--wordA"))
-        B = ergodics.SymbolicCylinder(spec, _parse_word(args.wordB, "--wordB"))
-        rep = ergodics.mixing_exact(A, B, args.n, iota_bound=args.bound)
+        A = _parse_cylinder(spec, args.wordA, "--wordA")
+        B = _parse_cylinder(spec, args.wordB, "--wordB")
+        try:
+            rep = ergodics.mixing_exact(A, B, args.n, iota_bound=args.bound)
+        except WordTooShort as exc:
+            raise CliError(f"argument --n: {exc}, the length of --wordB")
         passed = abs(rep.lhs - rep.rhs) <= rep.tail_bound
         rows.append(("mixing", rep.lhs, 0.0, rep.rhs, passed))
     else:  # invariance
@@ -334,6 +349,15 @@ def cmd_stats(args, out) -> int:
     return 0 if all(r[4] for r in rows) else 1
 
 
+# flags beside the system flags, each registered only by the commands that read it
+_RUN_FLAGS = {
+    "--seed": {"type": int, "default": None},
+    "--steps": {"type": _count, "default": 32},
+    "--precision": {"type": _count, "default": None, "help": "digits of digit-means orbits"},
+    "--threads": {"type": _count, "default": 1},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-cf",
@@ -341,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *flags):
+        """The system flags, then those of `flags` (keys of _RUN_FLAGS)."""
         sp.add_argument("--p", type=_prime, required=True, help="prime base")
         sp.add_argument(
             "--system",
@@ -350,17 +375,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--l", type=_ell, default=None, help="depth parameter, integer or 'inf'")
         sp.add_argument("--m", type=_count, default=None, help="dimension")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--precision", type=_count, default=None, help="digits for random points")
-        sp.add_argument("--steps", type=_count, default=32)
-        sp.add_argument("--threads", type=_count, default=1)
+        for flag in flags:
+            sp.add_argument(flag, **_RUN_FLAGS[flag])
 
     sp_expand = sub.add_parser("expand", help="emit the digit stream of a point")
-    common(sp_expand)
+    common(sp_expand, "--seed", "--steps")
     sp_expand.add_argument("point", nargs="+", help="'num/den' per coordinate or random:N")
 
     sp_conv = sub.add_parser("convergents", help="exact convergents of a digit file")
-    common(sp_conv)
+    common(sp_conv, "--seed")
     sp_conv.add_argument("digits", help="JSON-lines digit file, or - for stdin")
     sp_conv.add_argument(
         "--point",
@@ -374,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_br.add_argument("--bound", type=_bound, default=None, help="iota bound, e.g. 2^6 (default p^4)")
 
     sp_stats = sub.add_parser("stats", help="statistics checks with CSV/JSON output")
-    common(sp_stats)
+    common(sp_stats, "--seed", "--steps", "--precision", "--threads")
     sp_stats.add_argument(
         "--check",
         required=True,
@@ -391,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fill_defaults(args):
-    if args.seed is None:
+    if "seed" in args and args.seed is None:
         env = os.environ.get("PADIC_CF_SEED")
         args.seed = int(env) if env else 0
     if args.m is None:
@@ -399,13 +422,6 @@ def _fill_defaults(args):
     bound = getattr(args, "bound", None)
     if bound is not None and bound < args.p:
         raise CliError(f"argument --bound: must be at least p = {args.p}, got {bound}")
-    if args.precision is None:
-        args.precision = 4 * args.steps
-    elif args.precision < 4 * args.steps:
-        print(
-            f"warning: precision {args.precision} below 4*steps = {4 * args.steps}",
-            file=sys.stderr,
-        )
 
 
 @functools.cache

@@ -5,7 +5,9 @@ branch-family measure sums with closed-form tails, and the exact mixing
 identity on cylinders.  Monte Carlo side: Birkhoff averages of the digit
 observables and invariance checks on random cylinders, with exact rational
 accumulation and 4-standard-error tolerances.  Both Monte Carlo drivers step
-integer triples with cfsystems.step_core.
+integers with cfsystems.step_core: a point is a denominator x0 prime to p and
+one (ord, unit, abs_prec) triple per coordinate, and the cylinder test reads
+the triples over x0 without inverting it.
 """
 
 from __future__ import annotations
@@ -205,15 +207,12 @@ def digit_mean_reports(
         count = 0
         for _ in range(shard_samples):
             # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
-            point = [(1, draw(top), precision + 1)]
+            x0, point = 1, [(1, draw(top), precision + 1)]
             for _ in range(n_steps):
                 try:
-                    _, pexp, entries, point = step_core(spec, point)
+                    _, pexp, entries, x0, point = step_core(spec, x0, point)
                 except (PrecisionExhausted, ExpansionTerminated):
                     break
-                # point goes back unnormalised: at m = 1 its unit is the pivot
-                # unit's inverse mod p**(P - d) less the digits split off, so
-                # below p**(abs_prec - ord) (P, d the pivot's abs_prec, ord)
                 w, c = entries[0]
                 a = Fraction(w, p**c)
                 b = pexp[0]
@@ -262,15 +261,16 @@ def _cylinder_mc(
     """Fraction of Haar samples x (preimage: of their images T(x)) in c.
 
     Samples are haar_sample_vector's draws at max(c.levels) + 48 digits, kept
-    as step_core triples and tested with ProductCylinder.contains_digits.  A
+    as step_core triples over x0 = 1; a preimage sample is stepped once, and
+    its image is tested with ProductCylinder.contains_digits over the step's
+    denominator x0'.  A
     sample whose step or membership test raises is dropped, so the estimate
     is conditioned on the completed samples: n_samples is the count done, and
     fewer than half done raises InsufficientData.
     """
     if c.m != spec.m:
         raise ValueError("cylinder dimension mismatch")
-    want = max(c.levels)
-    precision = want + 48
+    precision = max(c.levels) + 48
     top = spec.ctx.p**precision
     m = spec.m
 
@@ -281,11 +281,11 @@ def _cylinder_mc(
         done = 0
         for _ in range(shard_samples):
             # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
-            point = [(1, draw(top), precision + 1) for _ in range(m)]
+            x0, point = 1, [(1, draw(top), precision + 1) for _ in range(m)]
             try:
                 if preimage:
-                    point = step_core(spec, point, want)[3]
-                inside = c.contains_digits(point)
+                    _, _, _, x0, point = step_core(spec, x0, point)
+                inside = c.contains_digits(point, x0)
             except (PrecisionExhausted, ExpansionTerminated):
                 continue
             done += 1

@@ -503,14 +503,16 @@ class Ball:
         diff = x - self.center
         return valuation(Fraction(diff), self.ctx) >= self.level
 
-    def contains_digits(self, lo: int, unit: int, prec) -> bool:
-        """contains for the approximation p**lo * unit known mod p**prec, on
-        PadicApprox's own integers; prec = inf with unit 0 is the exact zero.
-        The unit may be divisible by p, and its digits at or above prec are
-        ignored.  False when a known digit below the level differs from the
-        centre's; PrecisionExhausted when all known digits agree but stop
-        short of the level."""
-        if prec == INF:
+    def contains_digits(self, lo: int, unit: int, prec, x0: int = 1) -> bool:
+        """contains for p**lo * unit / x0 known mod p**prec: PadicApprox's
+        integers at x0 = 1, or a cfsystems.step_core coordinate over its
+        denominator.  lo = inf is the exact zero; the unit may be negative or
+        divisible by p, and its digits at or above prec are ignored.  x0 is
+        prime to p, so p**lo * unit is compared with x0 * centre, uninverted.
+        False when a known digit below the level differs from the centre's;
+        PrecisionExhausted when all known digits agree but stop short of the
+        level."""
+        if lo == INF:
             return self._cunit == 0
         level = self.level
         stop = level if prec >= level else prec
@@ -518,7 +520,7 @@ class Ball:
         base = lo if lo < clo else clo
         if stop > base:
             p = self.ctx.p
-            diff = unit * p ** (lo - base) - self._cunit * p ** (clo - base)
+            diff = unit * p ** (lo - base) - x0 * self._cunit * p ** (clo - base)
             if diff % p ** (stop - base):
                 return False
         if stop < level:
@@ -573,12 +575,13 @@ class ProductCylinder:
             raise ValueError("dimension mismatch")
         return all(b.contains(x) for b, x in zip(self.balls, xs))
 
-    def contains_digits(self, triples) -> bool:
-        """contains for approximations given as (lo, unit, prec) triples, one
-        per ball (Ball.contains_digits): balls in order, False at the first
-        miss, PrecisionExhausted at the first ball the digits cannot decide."""
+    def contains_digits(self, triples, x0: int = 1) -> bool:
+        """contains for approximations given as (lo, unit, prec) triples over
+        one denominator x0, one per ball (Ball.contains_digits): balls in
+        order, False at the first miss, PrecisionExhausted at the first ball
+        the digits cannot decide."""
         for b, (lo, unit, prec) in zip(self.balls, triples, strict=True):
-            if not b.contains_digits(lo, unit, prec):
+            if not b.contains_digits(lo, unit, prec, x0):
                 return False
         return True
 

@@ -353,14 +353,46 @@ class TestMalformedInput:
             (["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
               "--wordA", "(1,1)", "--wordB", "(2,1)", "--n", "-1"],
              "argument --n: must be >= 1, got -1"),
+            (["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+              "--wordA", "(1,1)", "--wordB", "(1,3)"],
+             "argument --wordB: integral parts must be admissible digit values"),
+            (["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+              "--wordA", "(1,1)", "--wordB", "(1,1);(2,1)", "--n", "1"],
+             "argument --n: need n >= 2"),
+            (["convergents", "--p", "2", "--system", "schneider", "/nonexistent/digits.jsonl"],
+             "argument digits: cannot read '/nonexistent/digits.jsonl'"),
         ],
-        ids=["random-point", "prime", "precision", "mixing-n"],
+        ids=["random-point", "prime", "precision", "mixing-n", "word-digit", "n-below-word",
+             "digits-file"],
     )
     def test_value_names_its_argument(self, capsys, argv, message):
         code, out = run_cli(argv)
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert message in err and "int()" not in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["expand", "--p", "2", "--system", "schneider", "2/3", "--threads", "2"], "--threads"),
+            (["expand", "--p", "2", "--system", "schneider", "2/3", "--precision", "2"],
+             "--precision"),
+            (["convergents", "--p", "2", "--system", "schneider", "-", "--steps", "3"], "--steps"),
+            (["branches", "--p", "2", "--system", "schneider", "--seed", "1"], "--seed"),
+        ],
+        ids=["expand-threads", "expand-precision", "convergents-steps", "branches-seed"],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv, flag):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_precision_warning_only_where_orbits_are_drawn(self, capsys):
+        base = ["stats", "--p", "2", "--system", "schneider", "--precision", "19"]
+        code, _ = run_cli(base + ["--check", "iota-sum", "--bound", "2^4"])
+        assert code == 0 and "warning" not in capsys.readouterr().err
+        run_cli(base + ["--check", "digit-means", "--samples", "10", "--steps", "5"])
+        assert "warning: precision 19 below 4*steps = 20" in capsys.readouterr().err
 
     def test_literal_iota_sum_over_the_branch_cap(self, capsys):
         # Ruban p=3 at the default bound 3^20 would list 177,144 branches

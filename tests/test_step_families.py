@@ -5,14 +5,17 @@ p in {2, 3, 5}:
 
 * an oracle: on seeded Haar orbits, the next point of `step` equals the
   emitted branch evaluated forwards, `apply_forward(branch_lft(spec, d), x)`,
-  in `PadicApprox` arithmetic (value and absolute precision);
+  in `PadicApprox` arithmetic (value and absolute precision), and on orbits
+  from points that mix exact rationals, zeros and approximations it does so
+  in value and in type;
 * committed digests: the digits, next points (with their precision) and
   stopping errors of seeded orbits hash to the lines of
   `golden/step_digests.txt`.
 
 The same configurations check the integer path of the cylinder Monte Carlo
 against `step` and `ProductCylinder.contains`: sample by sample on
-low-precision points, and report by report against a reference loop.  The
+low-precision points, where `step_core`'s triples are tested over its
+denominator x0', and report by report against a reference loop.  The
 one-dimensional ones check the digit-means Monte Carlo, also on the integer
 path, report by report against a reference loop on `step`.
 
@@ -46,6 +49,7 @@ from padic_cf import (
     expansion_records,
     format_approx,
     format_rational,
+    haar_sample,
     haar_sample_vector,
     invariance_mc,
     membership_mc,
@@ -162,6 +166,59 @@ def test_next_point_is_the_branch_applied_forwards(name, make, p):
     assert checked == 150
 
 
+def _mixed_point(rng, ctx, m):
+    """A point of (p*Z_p)^m whose coordinates are drawn independently: an
+    exact rational of valuation 1 to 6 (numerator of either sign, denominator
+    prime to p), Fraction(0), or a Haar approximation of 6 to 60 digits."""
+    p = ctx.p
+    coords = []
+    for _ in range(m):
+        kind = rng.randrange(3)
+        if kind == 0:
+            while True:
+                num, den = rng.randint(-60, 60), rng.randint(1, 60)
+                if num % p and den % p:
+                    break
+            coords.append(Fraction(num * p ** rng.randint(1, 6), den))
+        elif kind == 1:
+            coords.append(Fraction(0))
+        else:
+            coords.append(haar_sample(ctx, rng.randint(6, 60), rng))
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_mixed_point_is_the_branch_applied_forwards(name, make, p):
+    """The oracle above on points that mix exact rationals, Fraction(0) and
+    approximations, so that steps run over a denominator x0 != 1: the next
+    point equals the branch applied forwards in value and in type (a term of
+    exact coordinates over an exact pivot stays a Fraction).  In more than
+    one dimension some step has an exact pivot beside an approximation."""
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    rng = random.Random(f"mixed/{name}/p{p}")
+    checked = over_x0 = exact_pivot_beside_approx = 0
+    while checked < 300:
+        x = _mixed_point(rng, ctx, spec.m)
+        for _ in range(4):  # mixed points turn approximate within a few steps
+            if checked == 300:
+                break
+            try:
+                d, nxt = step(spec, x)
+            except PadicError:
+                break
+            forwards = apply_forward(branch_lft(spec, d), x)
+            assert forwards == nxt
+            assert [type(c) for c in forwards] == [type(c) for c in nxt]
+            exact = [c for c in x if isinstance(c, Fraction)]
+            over_x0 += any(c.denominator != 1 for c in exact)
+            exact_pivot_beside_approx += isinstance(x[d.pivot - 1], Fraction) and len(exact) < spec.m
+            checked += 1
+            x = nxt
+    assert checked == 300 and over_x0 > 0
+    assert exact_pivot_beside_approx > 0 or spec.m == 1
+
+
 @pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
 def test_expansion_records_read_the_pivot_depth(name, make, p):
     ctx = PrimeCtx(p)
@@ -180,12 +237,17 @@ def _outcome(fn):
         return type(exc).__name__
 
 
+def _image_in(spec, c, triples):
+    _, _, _, x0, nxt = step_core(spec, 1, triples)
+    return c.contains_digits(nxt, x0)
+
+
 @pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
 def test_integer_sample_path_matches_step_and_contains(name, make, p):
     """Sample by sample, on points of 1 to 6 digits, so that steps and
-    membership tests run out of precision: step_core asked for the digits
-    below max(c.levels), then ProductCylinder.contains_digits on its
-    unnormalised triples, decides as step then ProductCylinder.contains does
+    membership tests run out of precision: step_core, then
+    ProductCylinder.contains_digits on its unnormalised triples over its
+    denominator x0', decides as step then ProductCylinder.contains does
     (True, False or the error raised)."""
     ctx = PrimeCtx(p)
     spec = make(ctx)
@@ -193,7 +255,6 @@ def test_integer_sample_path_matches_step_and_contains(name, make, p):
     seen = set()
     for _ in range(25):
         c = random_cylinder(rng, ctx, spec.m, max_level=4)
-        want = max(c.levels)
         for n_digits in (1, 2, 3, 4, 6):
             for _ in range(4):
                 units = [rng.randrange(p**n_digits) for _ in range(spec.m)]
@@ -202,7 +263,7 @@ def test_integer_sample_path_matches_step_and_contains(name, make, p):
                 direct = _outcome(lambda: c.contains(x))
                 assert _outcome(lambda: c.contains_digits(triples)) == direct
                 image = _outcome(lambda: c.contains(step(spec, x)[1]))
-                assert _outcome(lambda: c.contains_digits(step_core(spec, triples, want)[3])) == image
+                assert _outcome(lambda: _image_in(spec, c, triples)) == image
                 seen.update((direct, image))
     assert {True, False, "PrecisionExhausted"} <= seen
 
