@@ -3,17 +3,18 @@
 Exact side: symbolic cylinder measures (products of inverse branch factors),
 branch-family measure sums with closed-form tails, and the exact mixing
 identity on cylinders.  Monte Carlo side: Birkhoff averages of the digit
-observables and invariance checks on random cylinders, with exact rational
-accumulation and 4-standard-error tolerances.  Both Monte Carlo drivers step
-integers with cfsystems.step_core: a point is a denominator x0 prime to p and
-one (ord, unit, abs_prec) triple per coordinate, and the cylinder test reads
-the triples over x0 without inverting it.
+observables and invariance checks on random cylinders, with exact integer
+sums per digit class and 4-standard-error tolerances.  Both Monte Carlo
+drivers step integers with cfsystems.step_core: a point is a denominator x0
+prime to p and one (ord, unit, abs_prec) triple per coordinate, and the
+cylinder test reads the triples over x0 without inverting it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +69,7 @@ class StatReport:
     n_steps: int
     theoretical: Fraction | None = None
     seed: int | None = None
+    n_dropped: int = 0  # samples stopped early, outside to_obj
 
     def __post_init__(self):
         if self.stderr < 0 or self.n_samples < 1:
@@ -184,9 +186,12 @@ def digit_mean_reports(
 ) -> tuple[StatReport, StatReport]:
     """Monte Carlo means of both digit observables over Haar-random orbits.
 
-    Every sample is expanded for n_steps (orbits that run out of precision
-    contribute the digits they produced).  Both observables are accumulated
-    exactly in one pass; floats appear only in the reports.
+    Every sample is expanded for n_steps.  An orbit that stops early keeps
+    the digits it produced and counts in n_dropped, so the means are
+    conditioned on the completed digits; fewer than half raises
+    InsufficientData.  Shards sum w and w*w of each digit a = w/p**c as
+    integers per class c; the caller builds each exact total once over
+    p**max(c), and floats appear only in the reports.
     """
     if spec.kind != ONE_DIM:
         raise ValueError("digit observables are defined for one-dimensional systems")
@@ -200,11 +205,12 @@ def digit_mean_reports(
     def run_shard(args):
         shard_seed, shard_samples = args
         draw = random.Random(shard_seed).randrange
-        tot_a = Fraction(0)
-        tot_a_sq = Fraction(0)
+        sum_w = {}  # digit class c -> sum of w over its steps, a = w / p**c
+        sum_w_sq = {}
         tot_b = 0
         tot_b_sq = 0
         count = 0
+        dropped = 0
         for _ in range(shard_samples):
             # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
             x0, point = 1, [(1, draw(top), precision + 1)]
@@ -212,16 +218,16 @@ def digit_mean_reports(
                 try:
                     _, pexp, entries, x0, point = step_core(spec, x0, point)
                 except (PrecisionExhausted, ExpansionTerminated):
+                    dropped += 1
                     break
                 w, c = entries[0]
-                a = Fraction(w, p**c)
+                sum_w[c] = sum_w.get(c, 0) + w
+                sum_w_sq[c] = sum_w_sq.get(c, 0) + w * w
                 b = pexp[0]
-                tot_a += a
-                tot_a_sq += a * a
                 tot_b += b
                 tot_b_sq += b * b
                 count += 1
-        return tot_a, tot_a_sq, tot_b, tot_b_sq, count
+        return sum_w, sum_w_sq, tot_b, tot_b_sq, count, dropped
 
     results = _run_sharded(run_shard, n_samples, seed, chunk=250, threads=threads)
     count = sum(r[4] for r in results)
@@ -229,10 +235,19 @@ def digit_mean_reports(
         raise InsufficientData(
             f"only {count} of {n_samples * n_steps} digit observations completed"
         )
-    theo_a, theo_b = theoretical_digit_means(spec.ctx.p, spec.ell)
+    sum_w, sum_w_sq = Counter(), Counter()
+    for r in results:
+        sum_w.update(r[0])
+        sum_w_sq.update(r[1])
+    k = max(sum_w, default=0)
+    theo_a, theo_b = theoretical_digit_means(p, spec.ell)
     reports = []
     for total, total_sq, theo in (
-        (sum((r[0] for r in results), Fraction(0)), sum((r[1] for r in results), Fraction(0)), theo_a),
+        (
+            Fraction(sum(s * p ** (k - c) for c, s in sum_w.items()), p**k),
+            Fraction(sum(s * p ** (2 * (k - c)) for c, s in sum_w_sq.items()), p ** (2 * k)),
+            theo_a,
+        ),
         (Fraction(sum(r[2] for r in results)), Fraction(sum(r[3] for r in results)), theo_b),
     ):
         mean = total / count
@@ -245,6 +260,7 @@ def digit_mean_reports(
                 n_steps=n_steps,
                 theoretical=theo,
                 seed=seed,
+                n_dropped=sum(r[5] for r in results),
             )
         )
     return reports[0], reports[1]
@@ -265,8 +281,8 @@ def _cylinder_mc(
     its image is tested with ProductCylinder.contains_digits over the step's
     denominator x0'.  A
     sample whose step or membership test raises is dropped, so the estimate
-    is conditioned on the completed samples: n_samples is the count done, and
-    fewer than half done raises InsufficientData.
+    is conditioned on the completed samples: n_samples is the count done,
+    n_dropped the rest, and fewer than half done raises InsufficientData.
     """
     if c.m != spec.m:
         raise ValueError("cylinder dimension mismatch")
@@ -306,6 +322,7 @@ def _cylinder_mc(
         n_steps=1 if preimage else 0,
         theoretical=measure(c),
         seed=seed,
+        n_dropped=n_samples - done,
     )
 
 

@@ -309,6 +309,13 @@ class TestShardPool:
             "digit-means": lambda t: digit_mean_reports(
                 SystemSpec.schneider(P3), 600, 10, seed=33, threads=t
             ),
+            # classes c > 0 too: the shards' per-class sums merge in the caller
+            "digit-means ruban p2": lambda t: digit_mean_reports(
+                SystemSpec.ruban(P2), 600, 10, seed=34, threads=t
+            ),
+            "digit-means t1 p3": lambda t: digit_mean_reports(
+                SystemSpec.one_dim(P3, 1), 600, 10, seed=35, threads=t
+            ),
         }
         for name, run in runs.items():
             serial = run(1)

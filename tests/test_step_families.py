@@ -17,7 +17,8 @@ against `step` and `ProductCylinder.contains`: sample by sample on
 low-precision points, where `step_core`'s triples are tested over its
 denominator x0', and report by report against a reference loop.  The
 one-dimensional ones check the digit-means Monte Carlo, also on the integer
-path, report by report against a reference loop on `step`.
+path, report by report against a reference loop on `step`.  Both Monte Carlo
+drivers count the samples they drop, checked against independent counts.
 
 Regenerate the digest file only when a change to the outputs is intended:
 
@@ -25,6 +26,7 @@ Regenerate the digest file only when a change to the outputs is intended:
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -41,6 +43,7 @@ from padic_cf import (
     PadicError,
     PrecisionExhausted,
     PrimeCtx,
+    ProductCylinder,
     SystemSpec,
     apply_forward,
     branch_lft,
@@ -57,6 +60,7 @@ from padic_cf import (
     random_cylinder,
     step,
 )
+from padic_cf import ergodics
 from padic_cf.cfsystems import digit_to_obj, step_core
 
 DIGESTS = Path(__file__).parent / "golden" / "step_digests.txt"
@@ -355,6 +359,57 @@ def test_digit_means_match_reference_loop(name, make, p):
 def test_digit_means_need_a_digit():
     with pytest.raises(ValueError):
         digit_mean_reports(SystemSpec.schneider(PrimeCtx(2)), 10, 5, 0, precision=0)
+
+
+def test_digit_means_count_the_orbits_that_stop_early():
+    # at 2 * n_steps digits some orbits run out before n_steps
+    spec = SystemSpec.schneider(PrimeCtx(3))
+    n_samples, n_steps, seed = 260, 12, 41
+    precision = 2 * n_steps
+    stopped = 0
+    for idx, start in enumerate(range(0, n_samples, 250)):
+        rng = random.Random(seed + idx)
+        for _ in range(min(250, n_samples - start)):
+            x = haar_sample_vector(spec.ctx, 1, precision, rng)[0]
+            for _ in range(n_steps):
+                try:
+                    x = step(spec, x)[1]
+                except (PrecisionExhausted, ExpansionTerminated):
+                    stopped += 1
+                    break
+    assert 0 < stopped < n_samples
+    for rep in digit_mean_reports(spec, n_samples, n_steps, seed, precision=precision):
+        assert (rep.n_samples, rep.n_dropped) == (n_samples, stopped)
+
+
+def _every_third_call_raises(fn, raised):
+    calls = itertools.count(1)
+
+    def wrapper(*args):
+        if next(calls) % 3 == 0:
+            raised.append(args)
+            raise PrecisionExhausted("forced")
+        return fn(*args)
+
+    return wrapper
+
+
+def test_cylinder_mc_counts_the_samples_it_drops(monkeypatch):
+    # at max(levels) + 48 digits no sample drops on its own, so the step
+    # (invariance) or the membership test (membership) raises on every third call
+    ctx = PrimeCtx(2)
+    spec = SystemSpec.jacobi_perron(ctx, 2)
+    c = random_cylinder(random.Random(43), ctx, 2, max_level=3)
+    for mc, module, name in (
+        (invariance_mc, ergodics, "step_core"),
+        (membership_mc, ProductCylinder, "contains_digits"),
+    ):
+        raised = []
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, _every_third_call_raises(getattr(module, name), raised))
+            rep = mc(spec, c, 300, seed=44)
+        assert (rep.n_samples, rep.n_dropped) == (300 - len(raised), len(raised)), mc
+        assert len(raised) == 100
 
 
 if __name__ == "__main__":
