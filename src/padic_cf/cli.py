@@ -40,8 +40,8 @@ from .padic_core import (
 
 CSV_HEADER = "check,p,l,m,estimate,stderr,theoretical,pass"
 
-# Most branches the literal iota-sum check lists (21,844 take about 2 s).
-IOTA_SUM_BRANCH_CAP = 50_000
+# Most branches a command lists (21,844 take about 2 s).
+BRANCH_CAP = 50_000
 
 
 class CliError(Exception):
@@ -216,10 +216,21 @@ def cmd_convergents(args, out) -> int:
     return 0
 
 
+def _capped_branches(spec: SystemSpec, bound: int, what: str) -> list:
+    """enumerate_branches, if branch_counts finds at most BRANCH_CAP."""
+    n_branches = sum(cfsystems.branch_counts(spec, bound).values())
+    if n_branches > BRANCH_CAP:
+        raise CliError(
+            f"argument --bound: {what} would enumerate {n_branches} branches at bound "
+            f"{bound}, more than {BRANCH_CAP}; give a smaller --bound"
+        )
+    return enumerate_branches(spec, bound)
+
+
 def cmd_branches(args, out) -> int:
     spec = _build_spec(args)
     bound = spec.ctx.p**4 if args.bound is None else args.bound
-    for digit, f in enumerate_branches(spec, bound):
+    for digit, f in _capped_branches(spec, bound, "the listing"):
         rec = {
             "digit": digit_to_obj(digit),
             "iota": format_rational(iota(f)),
@@ -291,13 +302,8 @@ def cmd_stats(args, out) -> int:
     elif args.check == "iota-sum":
         # the literal sum over every branch against the sum of class counts
         bound = p**20 if args.bound is None else args.bound
-        n_branches = sum(cfsystems.branch_counts(spec, bound).values())
-        if n_branches > IOTA_SUM_BRANCH_CAP:
-            raise CliError(
-                f"argument --bound: the literal iota-sum would enumerate {n_branches} "
-                f"branches at bound {bound}, more than {IOTA_SUM_BRANCH_CAP}; give a smaller --bound"
-            )
-        total = sum((1 / iota(f) for _, f in enumerate_branches(spec, bound)), Fraction(0))
+        branches = _capped_branches(spec, bound, "the literal iota-sum")
+        total = sum((1 / iota(f) for _, f in branches), Fraction(0))
         theo = ergodics.iota_sum(spec, bound)
         rows.append(("iota-sum", total, 0.0, theo, total == theo))
     elif args.check == "mixing":

@@ -18,14 +18,12 @@ from fractions import Fraction
 
 from .errors import DivisionByZeroAtPrecision, NotHyperbolicError, PrecisionExhausted
 from .padic_core import (
-    INF,
     Ball,
     PadicApprox,
     PrimeCtx,
     ProductCylinder,
     as_fraction,
     format_rational,
-    measure,
     parse_rational,
     valuation,
 )
@@ -134,6 +132,17 @@ def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
     return HyperbolicCert(u, v, h)
 
 
+def _certified(f: LftParams, cert: HyperbolicCert | None) -> HyperbolicCert:
+    """cert, else f's own: certified once and kept on f (not a field), so it
+    is freed with f; a non-hyperbolic f raises on every call."""
+    if cert is None:
+        cert = getattr(f, "_cert", None)
+        if cert is None:
+            cert = certify_hyperbolic(f)
+            object.__setattr__(f, "_cert", cert)
+    return cert
+
+
 def is_hyperbolic(f: LftParams) -> bool:
     try:
         certify_hyperbolic(f)
@@ -147,8 +156,7 @@ def iota(f: LftParams, cert: HyperbolicCert | None = None) -> Fraction:
 
     1/iota is the Haar measure of the branch's first-digit cylinder.
     """
-    if cert is None:
-        cert = certify_hyperbolic(f)
+    cert = _certified(f, cert)
     ctx = f.ctx
     s = f.s
     expo = f.m * cert.v + (f.m + 1) * cert.u
@@ -202,8 +210,7 @@ def apply_inverse(f: LftParams, ys, cert: HyperbolicCert | None = None) -> tuple
     Hyperbolicity makes this total there, with every output coordinate back
     in p*Z_p.
     """
-    if cert is None:
-        certify_hyperbolic(f)
+    _certified(f, cert)
     if len(ys) != f.m:
         raise ValueError("dimension mismatch")
     ctx = f.ctx
@@ -280,44 +287,52 @@ def sufficient_hyperbolic(f: LftParams, witness) -> bool:
     return all(_coord_val_ge_1(y, ctx) for y in image)
 
 
+def _residue(x, mod: int) -> int:
+    """A p-integral rational x mod p**L = mod."""
+    return x.numerator * pow(x.denominator, -1, mod) % mod
+
+
 def preimage_cylinder(
     f: LftParams, c: ProductCylinder, cert: HyperbolicCert | None = None
 ) -> list[ProductCylinder]:
     """Exact decomposition of the inverse image of a uniform-level cylinder.
 
     Returns p**h pairwise disjoint product cylinders whose measures sum to
-    measure(c) / iota(f).
+    measure(c) / iota(f).  Piece y has pivot centre x = base + p**e * y and
+    centre x * (c_t + q_t) / p_t at coordinate k != i, t = sigma^-1(k): all
+    p-integral, so built as (a_k + b_k * y) mod p**level from integer
+    residues taken once per call.
     """
-    if cert is None:
-        cert = certify_hyperbolic(f)
+    cert = _certified(f, cert)
     if c.m != f.m:
         raise ValueError("dimension mismatch")
     ctx = f.ctx
     p = ctx.p
     n = c.uniform_level()
-    centers = [b.center for b in c.balls]
-    for a in centers:
-        if a != 0 and valuation(a, ctx) < 1:
-            raise ValueError("cylinder must be contained in (p*Z_p)^m")
+    balls = c.balls
+    if any(b._clo < 1 for b in balls):
+        raise ValueError("cylinder must be contained in (p*Z_p)^m")
     s = f.s
-    ps = f.pvec[s - 1]
-    base = ps / (centers[s - 1] + f.qvec[s - 1])
-    scale = Fraction(p ** (n + cert.v + 2 * cert.u))
-    out = []
-    for y in range(p**cert.h):
-        offset = base + scale * y
-        balls = [None] * f.m
-        balls[f.i - 1] = Ball(ctx, offset, n + cert.v + 2 * cert.u + cert.h)
-        for k in range(1, f.m + 1):
-            if k == f.i:
-                continue
+    e = n + cert.v + 2 * cert.u
+    base = f.pvec[s - 1] / (balls[s - 1].center + f.qvec[s - 1])
+    coords = []
+    for k in range(1, f.m + 1):
+        if k == f.i:
+            level, a, b = e + cert.h, base, p**e
+        else:
             t = f.sigma_inv(k)
             pt = f.pvec[t - 1]
-            w = offset / pt
             level = n + cert.v + cert.u - valuation(pt, ctx)
-            balls[k - 1] = Ball(ctx, w * (centers[t - 1] + f.qvec[t - 1]), level)
-        out.append(ProductCylinder(tuple(balls)))
-    return out
+            w = (balls[t - 1].center + f.qvec[t - 1]) / pt
+            a, b = base * w, p**e * w
+        mod = p**level
+        coords.append((level, mod, _residue(a, mod), _residue(b, mod)))
+    return [
+        ProductCylinder(
+            tuple(Ball._from_residue(ctx, (a + b * y) % mod, level) for level, mod, a, b in coords)
+        )
+        for y in range(p**cert.h)
+    ]
 
 
 def random_hyperbolic(rng: random.Random, ctx: PrimeCtx, m: int) -> LftParams:

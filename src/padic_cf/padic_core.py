@@ -194,7 +194,7 @@ def integral_part(x, ctx: PrimeCtx | None = None) -> Fraction:
         return x._split_at_one()[0]
     if ctx is None:
         raise TypeError("ctx is required for exact values")
-    return _truncate_below(Fraction(x), ctx, 1)
+    return Ball(ctx, x, 1).center  # the centre keeps the digits below position 1
 
 
 def fractional_part(x, ctx: PrimeCtx | None = None):
@@ -466,17 +466,6 @@ class PadicApprox:
 # -- balls and cylinders ----------------------------------------------------
 
 
-def _truncate_below(x: Fraction, ctx: PrimeCtx, stop: int) -> Fraction:
-    """The rational whose digits agree with x below position stop and vanish above."""
-    if x == 0:
-        return Fraction(0)
-    v = valuation(x, ctx)
-    if v >= stop:
-        return Fraction(0)
-    u = _unit_mod(x, ctx.p, v, stop - v)
-    return Fraction(u * ctx.p**v) if v >= 0 else Fraction(u, ctx.p**-v)
-
-
 @dataclass(frozen=True)
 class Ball:
     """The set center + p**level * Z_p, with the center reduced mod p**level."""
@@ -488,13 +477,28 @@ class Ball:
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("ball level must be >= 1")
-        c = _truncate_below(Fraction(self.center), self.ctx, self.level)
-        object.__setattr__(self, "center", c)
-        # digit form of the canonical center, for fast membership tests
-        lo = valuation(c, self.ctx) if c != 0 else self.level
-        lo = min(lo, self.level)
+        c = as_fraction(self.center)
+        lo = min(valuation(c, self.ctx), self.level)
+        self._set_digits(lo, _unit_mod(c, self.ctx.p, lo, self.level - lo))
+
+    @classmethod
+    def _from_residue(cls, ctx: PrimeCtx, z: int, level: int) -> "Ball":
+        """Ball(ctx, Fraction(z), level) for an integer 0 <= z < p**level."""
+        ball = cls.__new__(cls)
+        object.__setattr__(ball, "ctx", ctx)
+        object.__setattr__(ball, "level", level)
+        lo = _intval(z, ctx.p) if z else level
+        ball._set_digits(lo, z // ctx.p**lo)
+        return ball
+
+    def _set_digits(self, lo: int, unit: int):
+        """Set the canonical centre p**lo * unit and its digit form (unit
+        prime to p, or lo = level and unit = 0) for contains_digits."""
+        p = self.ctx.p
+        center = Fraction(unit * p**lo) if lo >= 0 else Fraction(unit, p**-lo)
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "_clo", lo)
-        object.__setattr__(self, "_cunit", _unit_mod(c, self.ctx.p, lo, self.level - lo))
+        object.__setattr__(self, "_cunit", unit)
 
     def contains(self, x) -> bool:
         """Exact membership for rationals; at-precision membership for approximations."""
@@ -598,10 +602,7 @@ def measure(obj) -> Fraction:
     if isinstance(obj, Ball):
         return Fraction(1, obj.ctx.p ** (obj.level - 1))
     if isinstance(obj, ProductCylinder):
-        out = Fraction(1)
-        for b in obj.balls:
-            out *= measure(b)
-        return out
+        return Fraction(1, obj.ctx.p ** sum(b.level - 1 for b in obj.balls))
     raise TypeError(f"cannot measure {type(obj).__name__}")
 
 

@@ -402,6 +402,17 @@ class TestMalformedInput:
             capsys.readouterr().err
         )
 
+    def test_branch_listing_over_the_branch_cap(self, capsys):
+        # Jacobi-Perron p=2 m=2 at 2^40 would list 89,478,484 branches
+        code, out = run_cli(
+            ["branches", "--p", "2", "--system", "jacobi-perron", "--m", "2", "--bound", "2^40"]
+        )
+        assert code == 2 and out == ""
+        assert (
+            "argument --bound: the listing would enumerate 89478484 branches at bound "
+            f"{2**40}, more than 50000; give a smaller --bound"
+        ) in capsys.readouterr().err
+
     def test_dead_shard_process(self, capsys, monkeypatch):
         from padic_cf import ergodics
 

@@ -263,6 +263,78 @@ class TestPreimageCylinder:
             preimage_cylinder(f, c)
 
 
+class TestCertificatePerBranch:
+    """A branch is certified once; an explicit cert= bypasses the stored one."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        from padic_cf import lft
+
+        calls = []
+        real = lft.certify_hyperbolic
+
+        def counting(f):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(lft, "certify_hyperbolic", counting)
+        return calls
+
+    @staticmethod
+    def branch_and_cylinder(seed):
+        rng = random.Random(seed)
+        f = random_hyperbolic(rng, P3, 2)
+        c = ProductCylinder((Ball(P3, Fraction(3), 2), Ball(P3, Fraction(6), 2)))
+        return f, c
+
+    def test_iota_then_preimages_certify_once(self, counted):
+        f, c = self.branch_and_cylinder(41)
+        counted.clear()  # random_hyperbolic's own check
+        first = iota(f)
+        pieces = [preimage_cylinder(f, c) for _ in range(10)]
+        apply_inverse(f, (Fraction(3), Fraction(9)))
+        assert len(counted) == 1
+        assert iota(f) == first and all(pc == pieces[0] for pc in pieces)
+
+    def test_equal_branches_keep_their_own_certificates(self, counted):
+        f, c = self.branch_and_cylinder(43)
+        g, _ = self.branch_and_cylinder(43)
+        assert f == g and f is not g
+        counted.clear()
+        preimage_cylinder(f, c)
+        preimage_cylinder(g, c)
+        preimage_cylinder(f, c)
+        assert [id(x) for x in counted] == [id(f), id(g)]
+
+    def test_non_hyperbolic_raises_on_every_call(self, counted):
+        f = one_dim(P2, 1, 2)  # ord(q_s) = 1 > 0: condition (ii)
+        c = ProductCylinder((Ball(P2, Fraction(2), 2),))
+        for _ in range(3):
+            with pytest.raises(NotHyperbolicError):
+                iota(f)
+            with pytest.raises(NotHyperbolicError):
+                apply_inverse(f, (Fraction(2),))
+            with pytest.raises(NotHyperbolicError):
+                preimage_cylinder(f, c)
+        assert len(counted) == 9
+
+    def test_explicit_cert_is_used_as_given(self, counted):
+        f, c = self.branch_and_cylinder(47)
+        true = certify_hyperbolic(f)
+        wider = HyperbolicCert(true.u, true.v, true.h + 1)
+        counted.clear()
+        assert len(preimage_cylinder(f, c, wider)) == 3 ** (true.h + 1)
+        assert iota(f, wider) == iota(f, true)  # iota does not read h
+        deeper = HyperbolicCert(true.u, true.v + 1, true.h)
+        assert iota(f, deeper) == iota(f, true) * 3**f.m
+        assert counted == []
+        # the explicit certificates were not stored: the first call without
+        # one certifies the branch itself
+        assert len(preimage_cylinder(f, c)) == 3**true.h
+        assert iota(f) == iota(f, true)
+        assert len(counted) == 1
+
+
 class TestContraction:
     @given(st.integers(0, 10_000))
     def test_inverse_contracts_by_p(self, seed):

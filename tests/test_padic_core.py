@@ -293,11 +293,51 @@ class TestBallsAndMeasure:
                 assert b.contains_digits(INF, 0, INF) is (b.center == 0)
         assert seen == {True, False, "exhausted"}
 
+    def test_residue_ball_equals_the_fraction_ball(self):
+        # every residue z mod p**level, z = 0 included, against the ball that
+        # canonicalises Fraction(z); contains_digits on triples that fall
+        # inside, outside and short of the level
+        rng = random.Random(6)
+        for ctx in (P2, P3, P5):
+            p = ctx.p
+            for level in range(1, 5):
+                for z in range(p**level):
+                    got = Ball._from_residue(ctx, z, level)
+                    want = Ball(ctx, Fraction(z), level)
+                    assert got == want and hash(got) == hash(want)
+                    assert str(got) == str(want) == format_ball(want)
+                    assert (got._clo, got._cunit) == (want._clo, want._cunit)
+                    assert type(got.center) is Fraction
+                    assert got.contains_digits(INF, 0, INF) is want.contains_digits(INF, 0, INF)
+                    for _ in range(3):
+                        lo, prec = rng.randint(0, 3), rng.randint(0, 6)
+                        unit = rng.choice([z, rng.randrange(p**6)])
+                        outcomes = []
+                        for b in (got, want):
+                            try:
+                                outcomes.append(b.contains_digits(lo, unit, prec))
+                            except PrecisionExhausted:
+                                outcomes.append("exhausted")
+                        assert outcomes[0] == outcomes[1]
+
     def test_measure_examples(self):
         assert measure(Ball(P2, Fraction(0), 1)) == 1
         assert measure(Ball(P3, Fraction(3), 2)) == Fraction(1, 3)
         c = ProductCylinder((Ball(P2, Fraction(0), 2), Ball(P2, Fraction(2), 2)))
         assert measure(c) == Fraction(1, 4)
+
+    def test_cylinder_measure_is_the_product_over_its_balls(self):
+        rng = random.Random(8)
+        for ctx in (P2, P3, P5):
+            for _ in range(40):
+                balls = tuple(
+                    Ball(ctx, Fraction(rng.randrange(99), rng.randint(1, 9)), rng.randint(1, 6))
+                    for _ in range(rng.randint(1, 4))
+                )
+                product = Fraction(1)
+                for b in balls:
+                    product *= measure(b)
+                assert measure(ProductCylinder(balls)) == product
 
     def test_invert_ball_unit_case(self):
         out = invert_ball(Ball(P2, Fraction(0), 1), Fraction(1))

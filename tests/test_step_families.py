@@ -45,9 +45,13 @@ from padic_cf import (
     PrimeCtx,
     ProductCylinder,
     SystemSpec,
+    Ball,
     apply_forward,
+    branch_counts,
     branch_lft,
+    certify_hyperbolic,
     digit_mean_reports,
+    enumerate_branches,
     expand,
     expansion_records,
     format_approx,
@@ -57,8 +61,11 @@ from padic_cf import (
     invariance_mc,
     membership_mc,
     pivot_valuation,
+    preimage_cylinder,
     random_cylinder,
+    random_hyperbolic,
     step,
+    valuation,
 )
 from padic_cf import ergodics
 from padic_cf.cfsystems import digit_to_obj, step_core
@@ -410,6 +417,107 @@ def test_cylinder_mc_counts_the_samples_it_drops(monkeypatch):
             rep = mc(spec, c, 300, seed=44)
         assert (rep.n_samples, rep.n_dropped) == (300 - len(raised), len(raised)), mc
         assert len(raised) == 100
+
+
+# -- preimage pieces against the Fraction construction ------------------------
+
+
+def _fraction_preimage(f, c, cert):
+    """preimage_cylinder's pieces built in Fraction arithmetic, each ball
+    canonicalised by Ball: the construction the integer residues replaced."""
+    ctx = f.ctx
+    p = ctx.p
+    n = c.uniform_level()
+    centers = [b.center for b in c.balls]
+    s = f.s
+    base = f.pvec[s - 1] / (centers[s - 1] + f.qvec[s - 1])
+    scale = Fraction(p ** (n + cert.v + 2 * cert.u))
+    out = []
+    for y in range(p**cert.h):
+        offset = base + scale * y
+        balls = [None] * f.m
+        balls[f.i - 1] = Ball(ctx, offset, n + cert.v + 2 * cert.u + cert.h)
+        for k in range(1, f.m + 1):
+            if k == f.i:
+                continue
+            t = f.sigma_inv(k)
+            pt = f.pvec[t - 1]
+            level = n + cert.v + cert.u - valuation(pt, ctx)
+            balls[k - 1] = Ball(ctx, offset / pt * (centers[t - 1] + f.qvec[t - 1]), level)
+        out.append(ProductCylinder(tuple(balls)))
+    return out
+
+
+def _assert_pieces_match(f, c):
+    """Same pieces in the same order, ball by ball, digit form included."""
+    got = preimage_cylinder(f, c)
+    want = _fraction_preimage(f, c, certify_hyperbolic(f))
+    assert got == want, (f, c)
+    assert [[(b._clo, b._cunit) for b in pc.balls] for pc in got] == [
+        [(b._clo, b._cunit) for b in pc.balls] for pc in want
+    ], (f, c)
+
+
+def _cylinders_at_levels_1_to_4(rng, ctx, m):
+    p = ctx.p
+    return [
+        ProductCylinder(
+            tuple(Ball(ctx, Fraction(p * rng.randrange(p ** (n - 1))), n) for _ in range(m))
+        )
+        for n in range(1, 5)
+    ]
+
+
+ENUMERABLE_CASES = [case for case in CASES if not case[0].startswith("brun")]
+BRANCHES_PER_CASE = 600
+PIECES_PER_CYLINDER = 400
+
+
+@pytest.mark.parametrize(
+    "name,make,p", ENUMERABLE_CASES, ids=[f"{n}-p{p}" for n, _, p in ENUMERABLE_CASES]
+)
+def test_preimage_pieces_match_the_fraction_construction(name, make, p):
+    # the branches of the largest bound p**j (j <= 15) that lists at most
+    # BRANCHES_PER_CASE, in enumerate_branches' order up to PIECES_PER_CYLINDER
+    # pieces, on one random uniform cylinder per level 1..4
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    bound = max(
+        p**j
+        for j in range(spec.m + 1, 16)
+        if sum(branch_counts(spec, p**j).values()) <= BRANCHES_PER_CASE
+    )
+    branches, pieces = [], 0
+    for _, f in enumerate_branches(spec, bound):
+        pieces += p ** certify_hyperbolic(f).h
+        if pieces > PIECES_PER_CYLINDER:
+            break
+        branches.append(f)
+    assert len(branches) >= 10
+    rng = random.Random(f"{name}-{p}")
+    for c in _cylinders_at_levels_1_to_4(rng, ctx, spec.m):
+        for f in branches:
+            _assert_pieces_match(f, c)
+
+
+def test_preimage_pieces_match_on_random_branches():
+    # random_hyperbolic dresses p_k and q_k with signed units num/den, so the
+    # entries are negative and non-integral; q_k = 0 and h > 0 occur too
+    rng = random.Random(53)
+    seen = set()
+    for p in (2, 3, 5, 7):
+        ctx = PrimeCtx(p)
+        for m in (1, 2, 3, 4):
+            for _ in range(25):
+                f = random_hyperbolic(rng, ctx, m)
+                seen.add(("h > 0", certify_hyperbolic(f).h > 0))
+                seen.add(("q_k = 0", 0 in f.qvec))
+                seen.add(("negative", any(x < 0 for x in f.pvec + f.qvec)))
+                seen.add(("non-integral", any(x.denominator > 1 for x in f.pvec + f.qvec)))
+                seen.add(("sigma", f.sigma != tuple(f.sigma_inv(k) for k in range(1, m + 1))))
+                for c in _cylinders_at_levels_1_to_4(rng, ctx, m):
+                    _assert_pieces_match(f, c)
+    assert all((what, True) in seen for what, _ in seen)
 
 
 if __name__ == "__main__":
