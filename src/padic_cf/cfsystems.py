@@ -7,7 +7,7 @@ permutation sigma of 1..m and s = sigma^-1(i), the next point is
 
 where q_k, the integral part of the term before it, is the digit entry; the
 branch is the lft.LftParams (i, sigma, p**r, q).  The families differ in
-three rules, and `step` has one body for all of them:
+three rules, and `step_core` has one body for all of them:
 
 * pivot: coordinate 1, or for Brun the first coordinate of least valuation;
 * sigma: the cycle (2, ..., m, 1), or for Brun the identity;
@@ -281,41 +281,42 @@ def _entry_depth(pexp: int, q, ell, p: int) -> int:
     return depth
 
 
-def _rules(spec: SystemSpec, infos) -> tuple[int, list]:
+def _rules(spec: SystemSpec, point) -> tuple[int, list]:
     """(pivot i, [exponent r_k per slot k]), r_k None for the zero term of an
-    exact zero coordinate.  infos[k] is ("zero", None), ("ord", valuation) or
-    ("min", P) for coordinate k + 1, the last when only valuation >= P is
-    known.  The pivot is coordinate 1, or for Brun the first coordinate of
-    least valuation; raises when it is zero or its valuation undetermined."""
+    exact zero coordinate.  point[k] is step_core's normalised triple
+    (ord, unit, abs_prec) of coordinate k + 1: a nonzero unit means ord is the
+    valuation, unit 0 with abs_prec inf is the exact zero, and unit 0 with a
+    finite abs_prec = ord means only valuation >= ord is known.  The pivot is
+    coordinate 1, or for Brun the first coordinate of least valuation; raises
+    when it is zero or its valuation undetermined."""
     if spec.kind != BRUN:
-        kind, _ = infos[0]
-        if kind == "zero":
-            raise ExpansionTerminated("pivot coordinate is exact zero")
-        if kind == "min":
+        d_i, unit, prec = point[0]
+        if not unit:
+            if prec == INF:
+                raise ExpansionTerminated("pivot coordinate is exact zero")
             raise PrecisionExhausted("pivot valuation not determined")
         i = 1
     else:
-        known = [v for kind, v in infos if kind == "ord"]
+        known = [(lo, k) for k, (lo, unit, _) in enumerate(point, 1) if unit]
         if not known:
-            if all(kind == "zero" for kind, _ in infos):
+            if all(prec == INF for _, _, prec in point):
                 raise ExpansionTerminated("orbit reached exact zero")
             raise PrecisionExhausted("no coordinate has a determined valuation")
         # A coordinate known only to be 0 below a depth P <= min(known) could
         # tie or undercut the pivot; its quotient by the pivot then has
         # absolute precision P - min(known) <= 0, and its split raises
         # PrecisionExhausted.
-        i = infos.index(("ord", min(known))) + 1
-    d_i = infos[i - 1][1]
+        d_i, i = min(known)
     ell = spec.exponent_ell
     rs = []
     for src in spec.sigma:
         if src == i:
             rs.append(_depth_split(d_i, ell)[0])
         else:
-            kind, v = infos[src - 1]
-            # v only bounds the valuation from below when kind is "min";
+            lo, unit, prec = point[src - 1]
+            # lo only bounds the valuation from below when unit is 0;
             # a positive exponent from it leaves too little precision to split
-            rs.append(None if kind == "zero" else _depth_split(d_i - v, ell)[0])
+            rs.append(None if not unit and prec == INF else _depth_split(d_i - lo, ell)[0])
     return i, rs
 
 
@@ -333,27 +334,21 @@ def step_core(spec: SystemSpec, x0: int, coords):
     and slot k is p**(r + ord_k - d) * u_k / u_i otherwise.  Every integral
     part lies at positions >= -d, so u_i is inverted mod p**(d + 1) only.
     Precision follows PadicApprox (P - 2*ord on inversion, min on products,
-    +r on shifts), so this raises exactly where step does, and an inf
-    precision passes through min: a term of exact coordinates over an exact
-    pivot stays exact.
+    +r on shifts), so this raises exactly where PadicApprox arithmetic would,
+    and an inf precision passes through min: a term of exact coordinates over
+    an exact pivot stays exact.
     """
     p = spec.ctx.p
     point = []
-    infos = []
     for lo, unit, prec in coords:
         if unit:
             while unit % p == 0:
                 unit //= p
                 lo += 1
-        if unit and lo < prec:
-            infos.append(("ord", lo))
-        elif prec == INF:
-            infos.append(("zero", None))
-        else:  # no nonzero digit below prec
+        if not (unit and lo < prec) and prec != INF:  # no nonzero digit below prec
             lo, unit = prec, 0
-            infos.append(("min", prec))
         point.append((lo, unit, prec))
-    i, rs = _rules(spec, infos)
+    i, rs = _rules(spec, point)
     d, u_i, prec_i = point[i - 1]
     inv = pow(u_i, -1, p ** (d + 1))
     inv_prec = prec_i - 2 * d
@@ -388,6 +383,16 @@ def step_core(spec: SystemSpec, x0: int, coords):
     return i, pexp, entries, u_i, nxt
 
 
+def _digit(spec: SystemSpec, i: int, pexp, entries):
+    """The digit of a step_core step: pivot i, exponents pexp and integral
+    parts q_k = w / p**c for entries[k] = (w, c)."""
+    p = spec.ctx.p
+    qvec = [Fraction(w, p**c) for w, c in entries]
+    if spec.kind == ONE_DIM:
+        return Digit1D(pexp[0], qvec[0])
+    return DigitMD(tuple(pexp), tuple(qvec), i)
+
+
 def step(spec: SystemSpec, x):
     """One application of the algorithm: (digit, next point).
 
@@ -397,19 +402,18 @@ def step(spec: SystemSpec, x):
     split into its integral part q_k (the digit entry) and its fractional part
     y_k (the next point).
 
-    Exact and approximate coordinates step together in step_core.  An exact
-    coordinate keeps inf precision, so a term of exact coordinates over an
-    exact pivot stays a Fraction (an exact zero stays Fraction(0)), and every
-    other term becomes a PadicApprox.  Raises ExpansionTerminated when the
-    pivot coordinate is exactly zero and PrecisionExhausted when an
-    approximation cannot support the step.  A scalar is accepted when m = 1,
-    and the next point has the input's shape.
+    This is the value-typed edge of step_core, which does the step on
+    integers.  An exact coordinate keeps inf precision, so a term of exact
+    coordinates over an exact pivot stays a Fraction (an exact zero stays
+    Fraction(0)), and every other term becomes a PadicApprox.  Raises
+    ExpansionTerminated when the pivot coordinate is exactly zero and
+    PrecisionExhausted when an approximation cannot support the step.  A
+    scalar is accepted when m = 1, and the next point has the input's shape.
     """
     scalar = not isinstance(x, (tuple, list))
     ctx = spec.ctx
     p = ctx.p
     i, pexp, entries, x0, nxt = step_core(spec, *_coerce_point(spec, (x,) if scalar else tuple(x)))
-    qvec = [Fraction(w, p**c) for w, c in entries]
     n = max([prec - lo for lo, _, prec in nxt if prec != INF], default=0)
     inv = _inv_unit(x0, p, n) if x0 != 1 else 1
     ys = [
@@ -417,11 +421,7 @@ def step(spec: SystemSpec, x):
         else Fraction(unit * p**lo, x0) if unit else Fraction(0)
         for lo, unit, prec in nxt
     ]
-    if spec.kind == ONE_DIM:
-        digit = Digit1D(pexp[0], qvec[0])
-    else:
-        digit = DigitMD(tuple(pexp), tuple(qvec), i)
-    return digit, (ys[0] if scalar else tuple(ys))
+    return _digit(spec, i, pexp, entries), (ys[0] if scalar else tuple(ys))
 
 
 def pivot_valuation(spec: SystemSpec, d) -> int:
@@ -471,17 +471,21 @@ def branch_lft(spec: SystemSpec, d) -> LftParams:
 
 
 def expand(spec: SystemSpec, x, max_steps: int) -> Expansion:
-    """Iterate the algorithm, recording digits until it stops or max_steps."""
-    cur = x
+    """Iterate the algorithm, recording digits until it stops or max_steps.
+
+    The point, a scalar when m = 1, is read once into step_core's form and
+    stepped on integers, so the digits are those of repeated step calls;
+    ValueError for a point outside (p*Z_p)^m, even at max_steps = 0."""
+    x0, point = _coerce_point(spec, tuple(x) if isinstance(x, (tuple, list)) else (x,))
     digits = []
     for j in range(max_steps):
         try:
-            d, cur = step(spec, cur)
+            i, pexp, entries, x0, point = step_core(spec, x0, point)
         except ExpansionTerminated:
             return Expansion(tuple(digits), TERMINATED, j)
         except PrecisionExhausted:
             return Expansion(tuple(digits), EXHAUSTED, j)
-        digits.append(d)
+        digits.append(_digit(spec, i, pexp, entries))
     return Expansion(tuple(digits), RUNNING, max_steps)
 
 
@@ -654,13 +658,23 @@ def digit_to_obj(d) -> dict:
     }
 
 
+def _json_int(x) -> int:
+    if type(x) is not int:  # neither a bool nor a float such as 1e0
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def digit_from_obj(obj: dict):
+    """The digit of a digit_to_obj record; ValueError unless k, pivot and the
+    pexp entries are JSON integers and v and the q entries strings."""
     if "k" in obj:
-        return Digit1D(int(obj["k"]), parse_rational(obj["v"]))
+        return Digit1D(_json_int(obj["k"]), parse_rational(obj["v"]))
+    if not (isinstance(obj["pexp"], list) and isinstance(obj["q"], list)):
+        raise ValueError("pexp and q must be lists")
     return DigitMD(
-        tuple(int(r) for r in obj["pexp"]),
-        tuple(parse_rational(q) for q in obj["q"]),
-        int(obj.get("pivot", 1)),
+        tuple(map(_json_int, obj["pexp"])),
+        tuple(map(parse_rational, obj["q"])),
+        _json_int(obj.get("pivot", 1)),
     )
 
 

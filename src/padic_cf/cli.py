@@ -19,6 +19,7 @@ from . import cfsystems, ergodics
 from .cfsystems import (
     Digit1D,
     SystemSpec,
+    _coerce_point,
     convergents,
     digit_from_obj,
     digit_to_obj,
@@ -31,6 +32,7 @@ from .errors import InvalidDigit, PadicError, ShardProcessDied, WordTooShort
 from .padic_core import (
     INF,
     PrimeCtx,
+    _intval,
     format_rational,
     haar_sample_vector,
     is_prime,
@@ -196,20 +198,18 @@ def cmd_convergents(args, out) -> int:
             continue
         else:
             raise CliError(f"invalid digit record: {line!r}")
-    point = None
     if args.point is not None:
-        point = _parse_point(spec, args.point, args.seed, "--point")
+        x0, point = _coerce_point(spec, _parse_point(spec, args.point, args.seed, "--point"))
+    p = spec.ctx.p
     for j, vec in enumerate(convergents(spec, digits)):
         coords = vec if isinstance(vec, tuple) else (vec,)
         cols = [str(j), " ".join(format_rational(c) for c in coords)]
-        if point is not None:
+        if args.point is not None:
             ords = []
-            for c, x in zip(coords, point):
-                diff = x - c
-                if isinstance(diff, Fraction):
-                    ords.append(valuation(diff, spec.ctx))
-                else:  # an approximation: a lower bound, the true ord may be deeper
-                    ords.append(diff.valuation_lower_bound())
+            for (lo, unit, prec), c in zip(point, coords):
+                # x - c = n / (x0 * den), and x0 and den are prime to p
+                n = unit * c.denominator * p**lo - x0 * c.numerator
+                ords.append(min(_intval(n, p) if n else INF, prec))
             vmin = min(ords)
             cols.append("inf" if vmin == INF else str(vmin))
         _emit("\t".join(cols), out)

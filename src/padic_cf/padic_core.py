@@ -281,10 +281,6 @@ class PadicApprox:
             )
         return self._lo
 
-    def valuation_lower_bound(self):
-        """Largest n with valuation >= n certain; the valuation itself if known."""
-        return self._lo
-
     @property
     def digits(self) -> tuple[int, ...]:
         """Digits from position ord upward; empty for either zero state."""
@@ -654,6 +650,10 @@ def format_rational(x) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
+    """'num/den' or 'num' as a Fraction; ValueError for anything else, a
+    value that is not a string included."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected 'num/den' as a string, got {s!r}")
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)

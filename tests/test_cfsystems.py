@@ -98,6 +98,8 @@ class TestOneDimStep:
         s = SystemSpec.schneider(P2)
         with pytest.raises(ValueError):
             step(s, Fraction(1, 3))
+        with pytest.raises(ValueError, match="p\\*Z_p"):  # even when it takes no step
+            expand(s, Fraction(1, 2), 0)
 
     def test_rejects_approximations_outside_phase_space(self):
         # known to no digit, or with a digit at position -1: not in p*Z_p

@@ -2,13 +2,17 @@
 
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from padic_cf import PrimeCtx, haar_sample_vector, parse_rational, valuation
 from padic_cf.cli import _parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -88,6 +92,47 @@ class TestConvergents:
         )
         assert code == 0
         assert out == "0\t2/1\t2\n1\t2/3\tinf\n"
+
+    def _ord_column(self, tmp_path, flags, point, xs):
+        """The --point column of an expand -> convergents round trip, each row
+        checked against ord(x - c) from exact rationals: for an approximation
+        x, ord(representative - c) capped at its absolute precision."""
+        ctx = PrimeCtx(int(flags[1]))
+        _, digits = run_cli(["expand", *flags, *point, "--steps", "40"])
+        path = tmp_path / "digits.jsonl"
+        path.write_text(digits, encoding="utf-8")
+        code, out = run_cli(["convergents", *flags, str(path), "--point", *point])
+        assert code == 0
+        column = []
+        for line in out.splitlines():
+            _, convergent, ords = line.split("\t")
+            want = min(
+                valuation(x - c, ctx) if isinstance(x, Fraction)
+                else min(valuation(x.representative() - c, ctx), x.abs_prec)
+                for x, c in zip(xs, map(parse_rational, convergent.split()))
+            )
+            assert ords == ("inf" if want == math.inf else str(want))
+            column.append(ords)
+        assert len(column) == len(digits.splitlines()) - 1
+        return column
+
+    def test_ord_column_of_an_exact_point_reaches_inf(self, tmp_path):
+        column = self._ord_column(
+            tmp_path, ["--p", "3", "--system", "schneider"], ["57/40"], [Fraction(57, 40)]
+        )
+        assert len(column) == 5 and column[-1] == "inf"
+
+    def test_ord_column_of_a_random_point_is_capped(self, tmp_path):
+        xs = haar_sample_vector(PrimeCtx(2), 1, 20, random.Random(3))
+        column = self._ord_column(
+            tmp_path, ["--p", "2", "--system", "schneider", "--seed", "3"], ["random:20"], xs
+        )
+        assert column[-1] == "21"  # N + 1, the absolute precision of random:N
+
+    def test_ord_column_jacobi_perron(self, tmp_path):
+        xs = haar_sample_vector(PrimeCtx(3), 2, 30, random.Random(5))
+        flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2", "--seed", "5"]
+        assert len(self._ord_column(tmp_path, flags, ["random:30"], xs)) > 3
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -386,6 +431,29 @@ class TestMalformedInput:
         code, out = run_cli(argv)
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system,record",
+        [
+            ("schneider", '{"digit":{"k":1,"v":1}}'),
+            ("jacobi-perron", '{"digit":{"pexp":[0,0],"q":[1,"1/2"]}}'),
+            ("schneider", '{"digit":{"k":1.5,"v":"1"}}'),
+            ("schneider", '{"digit":{"k":true,"v":"1"}}'),
+            ("schneider", '{"digit":{"k":1e0,"v":"1"}}'),
+            ("jacobi-perron", '{"digit":{"pexp":[0,0],"q":["1","1/2"],"pivot":"1"}}'),
+            ("jacobi-perron", '{"digit":{"pexp":"00","q":["1","1/2"]}}'),
+        ],
+        ids=["v-number", "q-number", "k-fraction", "k-bool", "k-float", "pivot-string",
+             "pexp-string"],
+    )
+    def test_digit_record_field_types(self, tmp_path, capsys, system, record):
+        """Only JSON integers for k, pivot and pexp entries, strings for v and
+        q entries; the records differ from a valid one only in type."""
+        path = tmp_path / "digits.jsonl"
+        path.write_text(record + "\n", encoding="utf-8")
+        code, out = run_cli(["convergents", "--p", "2", "--system", system, str(path)])
+        assert code == 2 and out == ""
+        assert f"invalid digit record: {record!r}" in capsys.readouterr().err
 
     def test_precision_warning_only_where_orbits_are_drawn(self, capsys):
         base = ["stats", "--p", "2", "--system", "schneider", "--precision", "19"]

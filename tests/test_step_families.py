@@ -230,6 +230,47 @@ def test_mixed_point_is_the_branch_applied_forwards(name, make, p):
     assert exact_pivot_beside_approx > 0 or spec.m == 1
 
 
+def _step_loop(spec, x, max_steps):
+    """expand's result by repeated step calls, the public value edge."""
+    digits = []
+    for j in range(max_steps):
+        try:
+            d, x = step(spec, x)
+        except ExpansionTerminated:
+            return digits, "terminated", j
+        except PrecisionExhausted:
+            return digits, "precision-exhausted", j
+        digits.append(d)
+    return digits, "running", max_steps
+
+
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_expand_equals_a_loop_over_step(name, make, p):
+    """expand carries step_core's (x0, triples) from step to step, with x0
+    unreduced; step rebuilds Fractions and PadicApprox values on every call.
+    Exact, zero, mixed and Haar points, run until they stop, give the same
+    digits, status and stopping step; among them are orbits that terminate
+    and orbits that run out of precision, each after at least one step."""
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    rng = random.Random(f"expand/{name}/p{p}")
+    points = [_rational_point(rng, p, spec.m) for _ in range(24)]
+    points += [tuple(-c for c in x) for x in points[:4]]  # negative numerators
+    if spec.m > 1:  # one nonzero coordinate: Brun's orbits then terminate too
+        points += [(Fraction(0),) * (spec.m - 1) + x[-1:] for x in points[:24]]
+    points += [(Fraction(0),) * spec.m]
+    points += [_mixed_point(rng, ctx, spec.m) for _ in range(12)]
+    points += [haar_sample_vector(ctx, spec.m, n, rng) for n in (3, 20, 80)]
+    statuses = set()
+    for x in points:
+        if spec.m == 1:
+            x = x[0]
+        exp = expand(spec, x, 60)
+        assert (list(exp.digits), exp.status, exp.stopped_at) == _step_loop(spec, x, 60)
+        statuses.add((exp.status, exp.stopped_at > 0))
+    assert {("terminated", True), ("precision-exhausted", True)} <= statuses
+
+
 @pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
 def test_expansion_records_read_the_pivot_depth(name, make, p):
     ctx = PrimeCtx(p)
