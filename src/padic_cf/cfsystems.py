@@ -497,9 +497,7 @@ def convergent(spec: SystemSpec, digits):
     """
     vec = (Fraction(0),) * spec.m
     for d in reversed(tuple(digits)):
-        f = branch_lft(spec, d)
-        cert = certify_hyperbolic(f)
-        vec = apply_inverse(f, vec, cert)
+        vec = apply_inverse(branch_lft(spec, d), vec)
     return vec[0] if spec.kind == ONE_DIM else vec
 
 

@@ -218,7 +218,10 @@ def cmd_convergents(args, out) -> int:
 
 def _capped_branches(spec: SystemSpec, bound: int, what: str) -> list:
     """enumerate_branches, if branch_counts finds at most BRANCH_CAP."""
-    n_branches = sum(cfsystems.branch_counts(spec, bound).values())
+    try:
+        n_branches = sum(cfsystems.branch_counts(spec, bound).values())
+    except NotImplementedError as exc:  # Brun
+        raise CliError(f"argument --system: {exc}")
     if n_branches > BRANCH_CAP:
         raise CliError(
             f"argument --bound: {what} would enumerate {n_branches} branches at bound "
@@ -276,6 +279,10 @@ def cmd_stats(args, out) -> int:
     ell_s = spec.ell_str
     rows = []
     if args.check == "digit-means":
+        if spec.kind != cfsystems.ONE_DIM:
+            raise CliError(
+                "argument --system: digit observables are defined for one-dimensional systems"
+            )
         if args.precision is not None and args.precision < 4 * args.steps:
             print(
                 f"warning: precision {args.precision} below 4*steps = {4 * args.steps}",
@@ -308,7 +315,7 @@ def cmd_stats(args, out) -> int:
         rows.append(("iota-sum", total, 0.0, theo, total == theo))
     elif args.check == "mixing":
         if spec.kind != cfsystems.ONE_DIM:
-            raise CliError("mixing check expects a one-dimensional system")
+            raise CliError("argument --system: mixing check expects a one-dimensional system")
         if not args.wordA or not args.wordB:
             raise CliError("mixing check requires --wordA and --wordB")
         A = _parse_cylinder(spec, args.wordA, "--wordA")

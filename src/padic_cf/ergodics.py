@@ -69,7 +69,7 @@ class StatReport:
     n_steps: int
     theoretical: Fraction | None = None
     seed: int | None = None
-    n_dropped: int = 0  # samples stopped early, outside to_obj
+    n_dropped: int = 0  # samples stopped early, not in the CLI rows
 
     def __post_init__(self):
         if self.stderr < 0 or self.n_samples < 1:
@@ -79,16 +79,6 @@ class StatReport:
         if self.theoretical is None:
             return True
         return abs(self.estimate - float(self.theoretical)) <= n_sigma * self.stderr
-
-    def to_obj(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "theoretical": None if self.theoretical is None else float(self.theoretical),
-            "n_samples": self.n_samples,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-        }
 
 
 def cylinder_measure(c: SymbolicCylinder) -> Fraction:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZeroAtPrecision, NotHyperbolicError, PrecisionExhausted
+from .errors import DivisionByZeroAtPrecision, NotHyperbolicError
 from .padic_core import (
     Ball,
     PadicApprox,
@@ -24,7 +24,6 @@ from .padic_core import (
     ProductCylinder,
     as_fraction,
     format_rational,
-    parse_rational,
     valuation,
 )
 
@@ -72,17 +71,6 @@ class LftParams:
             "p": [format_rational(v) for v in self.pvec],
             "q": [format_rational(v) for v in self.qvec],
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict, ctx: PrimeCtx) -> "LftParams":
-        return cls(
-            ctx,
-            int(obj["m"]),
-            int(obj["i"]),
-            tuple(int(v) for v in obj["sigma"]),
-            tuple(parse_rational(v) for v in obj["p"]),
-            tuple(parse_rational(v) for v in obj["q"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -132,31 +120,22 @@ def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
     return HyperbolicCert(u, v, h)
 
 
-def _certified(f: LftParams, cert: HyperbolicCert | None) -> HyperbolicCert:
-    """cert, else f's own: certified once and kept on f (not a field), so it
-    is freed with f; a non-hyperbolic f raises on every call."""
+def _certified(f: LftParams) -> HyperbolicCert:
+    """f's certificate: certified once and kept on f (not a field), so it is
+    freed with f; a non-hyperbolic f raises on every call."""
+    cert = getattr(f, "_cert", None)
     if cert is None:
-        cert = getattr(f, "_cert", None)
-        if cert is None:
-            cert = certify_hyperbolic(f)
-            object.__setattr__(f, "_cert", cert)
+        cert = certify_hyperbolic(f)
+        object.__setattr__(f, "_cert", cert)
     return cert
 
 
-def is_hyperbolic(f: LftParams) -> bool:
-    try:
-        certify_hyperbolic(f)
-        return True
-    except NotHyperbolicError:
-        return False
-
-
-def iota(f: LftParams, cert: HyperbolicCert | None = None) -> Fraction:
+def iota(f: LftParams) -> Fraction:
     """The constant Jacobian factor of the inverse branch, a power of p.
 
     1/iota is the Haar measure of the branch's first-digit cylinder.
     """
-    cert = _certified(f, cert)
+    cert = _certified(f)
     ctx = f.ctx
     s = f.s
     expo = f.m * cert.v + (f.m + 1) * cert.u
@@ -164,19 +143,6 @@ def iota(f: LftParams, cert: HyperbolicCert | None = None) -> Fraction:
         if k != s:
             expo -= valuation(f.pvec[k - 1], ctx)
     return Fraction(ctx.p**expo)
-
-
-def _coord_val_ge_1(x, ctx: PrimeCtx) -> bool:
-    """True when the coordinate is certainly in p*Z_p; may raise PrecisionExhausted."""
-    if isinstance(x, PadicApprox):
-        if x.is_exact_zero:
-            return True
-        if x.is_zero_at_precision:
-            if x.abs_prec >= 1:
-                return True
-            raise PrecisionExhausted("membership in p*Z_p not determined")
-        return x.valuation() >= 1
-    return valuation(Fraction(x), ctx) >= 1
 
 
 def apply_forward(f: LftParams, xs) -> tuple:
@@ -204,26 +170,20 @@ def apply_forward(f: LftParams, xs) -> tuple:
     return tuple(out)
 
 
-def apply_inverse(f: LftParams, ys, cert: HyperbolicCert | None = None) -> tuple:
-    """Evaluate the inverse branch on a vector in (p*Z_p)^m.
+def apply_inverse(f: LftParams, ys) -> tuple:
+    """Evaluate the inverse branch on an exact vector in (p*Z_p)^m.
 
     Hyperbolicity makes this total there, with every output coordinate back
     in p*Z_p.
     """
-    _certified(f, cert)
+    _certified(f)
     if len(ys) != f.m:
         raise ValueError("dimension mismatch")
-    ctx = f.ctx
-    for y in ys:
-        if not _coord_val_ge_1(y, ctx):
-            raise ValueError("inverse branch expects a vector in (p*Z_p)^m")
+    if any(valuation(y, f.ctx) < 1 for y in ys):
+        raise ValueError("inverse branch expects a vector in (p*Z_p)^m")
     s = f.s
     ps = f.pvec[s - 1]
-    denom = ys[s - 1] + f.qvec[s - 1]
-    if isinstance(denom, PadicApprox):
-        dinv = denom.inverse()
-    else:
-        dinv = 1 / denom
+    dinv = 1 / (ys[s - 1] + f.qvec[s - 1])
     out = []
     for k in range(1, f.m + 1):
         if k == f.i:
@@ -281,10 +241,9 @@ def sufficient_hyperbolic(f: LftParams, witness) -> bool:
             raise ValueError("precondition ord(p_k) >= 0 violated")
         if (qk == 0 or valuation(qk, ctx) > 0) and valuation(pk, ctx) != 0:
             raise ValueError("precondition ord(q_k) > 0 => ord(p_k) = 0 violated")
-    if not all(_coord_val_ge_1(x, ctx) for x in witness):
+    if any(valuation(x, ctx) < 1 for x in witness):
         raise ValueError("witness must lie in (p*Z_p)^m")
-    image = apply_forward(f, witness)
-    return all(_coord_val_ge_1(y, ctx) for y in image)
+    return all(valuation(y, ctx) >= 1 for y in apply_forward(f, witness))
 
 
 def _residue(x, mod: int) -> int:
@@ -292,9 +251,7 @@ def _residue(x, mod: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def preimage_cylinder(
-    f: LftParams, c: ProductCylinder, cert: HyperbolicCert | None = None
-) -> list[ProductCylinder]:
+def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]:
     """Exact decomposition of the inverse image of a uniform-level cylinder.
 
     Returns p**h pairwise disjoint product cylinders whose measures sum to
@@ -303,7 +260,7 @@ def preimage_cylinder(
     p-integral, so built as (a_k + b_k * y) mod p**level from integer
     residues taken once per call.
     """
-    cert = _certified(f, cert)
+    cert = _certified(f)
     if c.m != f.m:
         raise ValueError("dimension mismatch")
     ctx = f.ctx

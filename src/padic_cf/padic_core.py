@@ -89,15 +89,11 @@ def as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def valuation(x, ctx: PrimeCtx | None = None):
-    """p-adic valuation; math.inf for exact zero.
+def valuation(x, ctx: PrimeCtx):
+    """p-adic valuation of an exact rational; math.inf for zero.
 
-    Raises PrecisionExhausted for a PadicApprox indistinguishable from zero.
+    An approximation answers through PadicApprox.valuation.
     """
-    if isinstance(x, PadicApprox):
-        return x.valuation()
-    if ctx is None:
-        raise TypeError("ctx is required for exact values")
     if not isinstance(x, Fraction):
         x = Fraction(x)
     if x == 0:
@@ -105,17 +101,15 @@ def valuation(x, ctx: PrimeCtx | None = None):
     return _intval(x.numerator, ctx.p) - _intval(x.denominator, ctx.p)
 
 
-def norm(x, ctx: PrimeCtx | None = None) -> Fraction:
-    """p-adic absolute value p**(-valuation); 0 for exact zero."""
-    if isinstance(x, PadicApprox):
-        ctx = x.ctx
+def norm(x, ctx: PrimeCtx) -> Fraction:
+    """p-adic absolute value p**(-valuation) of an exact rational; 0 for zero."""
     v = valuation(x, ctx)
     if v == INF:
         return Fraction(0)
     return Fraction(1, ctx.p**v) if v >= 0 else Fraction(ctx.p ** (-v))
 
 
-def vector_norm(xs, ctx: PrimeCtx | None = None) -> Fraction:
+def vector_norm(xs, ctx: PrimeCtx) -> Fraction:
     """Max of coordinate norms."""
     return max(norm(x, ctx) for x in xs)
 
@@ -151,18 +145,11 @@ def _digits_of(unit: int, p: int, count: int) -> tuple[int, ...]:
 
 
 def digit_expand(x, ctx: PrimeCtx, start: int, stop: int) -> tuple[int, ...]:
-    """Digits c_start .. c_{stop-1} of the canonical expansion sum(c_n p**n).
-
-    For exact rationals this is total and serves as the reference expansion;
-    a PadicApprox can only be expanded below its abs_prec.
-    """
+    """Digits c_start .. c_{stop-1} of the canonical expansion sum(c_n p**n)
+    of an exact rational, the reference expansion; an approximation's digits
+    are PadicApprox.digits."""
     if stop < start:
         raise ValueError("stop must be >= start")
-    if isinstance(x, PadicApprox):
-        if stop > x.abs_prec:
-            raise PrecisionExhausted(f"digits known only below position {x.abs_prec}")
-        u = x._unit_shifted(start, stop - start)
-        return _digits_of(u, ctx.p, stop - start)
     x = Fraction(x)
     if x == 0:
         return (0,) * (stop - start)
@@ -176,32 +163,10 @@ def digit_expand(x, ctx: PrimeCtx, start: int, stop: int) -> tuple[int, ...]:
     return _digits_of(u, ctx.p, stop - start)
 
 
-def residue(x, ctx: PrimeCtx | None = None) -> int:
-    """The digit at position 0 of the canonical expansion."""
-    if isinstance(x, PadicApprox):
-        ctx = x.ctx
-        if x.abs_prec < 1:
-            raise PrecisionExhausted("digit at position 0 not determined")
-        return digit_expand(x, ctx, 0, 1)[0]
-    if ctx is None:
-        raise TypeError("ctx is required for exact values")
-    return digit_expand(Fraction(x), ctx, 0, 1)[0]
-
-
-def integral_part(x, ctx: PrimeCtx | None = None) -> Fraction:
-    """Sum of the digit terms at positions <= 0; an element of J or zero."""
-    if isinstance(x, PadicApprox):
-        return x._split_at_one()[0]
-    if ctx is None:
-        raise TypeError("ctx is required for exact values")
+def integral_part(x, ctx: PrimeCtx) -> Fraction:
+    """Sum of the digit terms at positions <= 0 of an exact rational; an
+    element of J or zero."""
     return Ball(ctx, x, 1).center  # the centre keeps the digits below position 1
-
-
-def fractional_part(x, ctx: PrimeCtx | None = None):
-    """x minus its integral part; always has valuation >= 1.  Same type as x."""
-    if isinstance(x, PadicApprox):
-        return x._split_at_one()[1]
-    return x - integral_part(x, ctx)
 
 
 class PadicApprox:
@@ -313,8 +278,9 @@ class PadicApprox:
     def _split_at_one(self) -> tuple[Fraction, "PadicApprox"]:
         """(digits at positions <= 0 as an exact rational, the rest).
 
-        Same contract as integral_part/fractional_part, without the generic
-        arithmetic; requires abs_prec >= 1.
+        integral_part and x - integral_part(x) on the known digits, without
+        the generic arithmetic; requires abs_prec >= 1.  Nothing in the
+        package calls it; the benchmark's span tracer wraps it by name.
         """
         if self._exact:
             return Fraction(0), self
@@ -683,10 +649,6 @@ def parse_approx(s: str) -> PadicApprox:
     for d in reversed(digits):
         unit = unit * ctx.p + d
     return PadicApprox(ctx, lo, unit, prec)
-
-
-def format_ball(b: Ball) -> str:
-    return str(b)
 
 
 def parse_ball(s: str, ctx: PrimeCtx) -> Ball:

@@ -17,6 +17,7 @@ from padic_cf import (
     SystemSpec,
     apply_forward,
     branch_lft,
+    certify_hyperbolic,
     convergent,
     convergents,
     digit_class,
@@ -27,7 +28,6 @@ from padic_cf import (
     haar_sample_vector,
     integral_part,
     iota,
-    is_hyperbolic,
     pivot_valuation,
     step,
     valuation,
@@ -170,7 +170,7 @@ class TestMultiDimStep:
                 except ExpansionTerminated:
                     continue
                 f = branch_lft(spec, d)
-                assert is_hyperbolic(f)
+                certify_hyperbolic(f)  # raises unless hyperbolic
                 assert apply_forward(f, x) == nxt
 
     def test_exact_coordinates_beside_approximations(self):
@@ -313,7 +313,7 @@ class TestBrun:
             x = random_phase_point(rng, P3, 3)
             d, nxt = step(s, x)
             f = branch_lft(s, d)
-            assert is_hyperbolic(f)
+            certify_hyperbolic(f)  # raises unless hyperbolic
             assert apply_forward(f, x) == nxt
 
     def test_word_round_trip(self):
@@ -429,7 +429,7 @@ class TestEnumerateBranches:
             assert len(set(digits)) == len(digits)
             assert all(iota(f) <= bound for _, f in bs)
             for d, f in bs:
-                assert is_hyperbolic(f)
+                certify_hyperbolic(f)  # raises unless hyperbolic
                 assert branch_lft(spec, d) == f
 
     def test_partial_sums_increase_toward_one(self):

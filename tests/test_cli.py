@@ -12,7 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from padic_cf import PrimeCtx, haar_sample_vector, parse_rational, valuation
+from padic_cf import (
+    PrimeCtx,
+    SystemSpec,
+    expand,
+    expansion_records,
+    haar_sample_vector,
+    parse_rational,
+    valuation,
+)
 from padic_cf.cli import _parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +78,24 @@ class TestExpand:
     def test_point_outside_phase_space(self):
         code, _ = run_cli(["expand", "--p", "2", "--system", "schneider", "1/3"])
         assert code == 2
+
+    def test_comma_separated_point(self):
+        argv = ["expand", "--p", "2", "--system", "jacobi-perron", "--m", "2"]
+        code, out = run_cli(argv + ["2/3,4/3"])
+        assert code == 0 and len(out.splitlines()) > 2
+        assert (code, out) == run_cli(argv + ["2/3", "4/3"])
+
+    def test_tl_in_two_dimensions(self):
+        # --system tl with --m 2 is the cyclic family at ell = --l
+        flags = ["--p", "2", "--m", "2", "random:60", "--steps", "20", "--seed", "1"]
+        code, out = run_cli(["expand", "--system", "tl", "--l", "1", *flags])
+        spec = SystemSpec.multi_dim(PrimeCtx(2), 1, 2)
+        exp = expand(spec, haar_sample_vector(spec.ctx, 2, 60, random.Random(1)), 20)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(rows) > 2
+        assert rows[:-1] == [json.loads(json.dumps(r)) for r in expansion_records(spec, exp)]
+        assert rows[-1] == {"status": exp.status, "step": exp.stopped_at}
+        assert out != run_cli(["expand", "--system", "jacobi-perron", *flags])[1]
 
     def test_determinism(self):
         argv = [
@@ -133,6 +159,34 @@ class TestConvergents:
         xs = haar_sample_vector(PrimeCtx(3), 2, 30, random.Random(5))
         flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2", "--seed", "5"]
         assert len(self._ord_column(tmp_path, flags, ["random:30"], xs)) > 3
+
+    def test_stdin_matches_a_file(self, tmp_path, monkeypatch):
+        flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2", "--seed", "2"]
+        _, digits = run_cli(["expand", *flags, "random:40", "--steps", "12"])
+        path = tmp_path / "digits.jsonl"
+        path.write_text(digits, encoding="utf-8")
+        code, out = run_cli(["convergents", *flags, str(path), "--point", "random:40"])
+        assert code == 0 and len(out.splitlines()) == len(digits.splitlines()) - 1 > 2
+        monkeypatch.setattr(sys, "stdin", io.StringIO(digits))
+        assert run_cli(["convergents", *flags, "-", "--point", "random:40"]) == (code, out)
+
+    @pytest.mark.parametrize(
+        "system,record,message",
+        [
+            ("jacobi-perron", '{"digit":{"pexp":[1],"q":["1/2"]}}', "malformed digit"),
+            ("schneider", '{"digit":{"k":0,"v":"1/1"}}', "pivot depth must be >= 1"),
+            ("jacobi-perron", '{"digit":{"pexp":[1,0],"q":["0/1","1/2"]}}',
+             "zero integral part forces zero exponent"),
+        ],
+        ids=["one-entry-pexp", "pivot-depth-0", "zero-q-nonzero-exponent"],
+    )
+    def test_digit_no_step_emits(self, tmp_path, capsys, system, record, message):
+        """Well-typed records that pivot_valuation rejects, each by its own rule."""
+        path = tmp_path / "digits.jsonl"
+        path.write_text(record + "\n", encoding="utf-8")
+        code, out = run_cli(["convergents", "--p", "2", "--system", system, str(path)])
+        assert code == 2 and out == ""
+        assert f"error: {message}\n" == capsys.readouterr().err
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -406,9 +460,19 @@ class TestMalformedInput:
              "argument --n: need n >= 2"),
             (["convergents", "--p", "2", "--system", "schneider", "/nonexistent/digits.jsonl"],
              "argument digits: cannot read '/nonexistent/digits.jsonl'"),
+            (["stats", "--p", "2", "--system", "jacobi-perron", "--check", "digit-means"],
+             "argument --system: digit observables are defined for one-dimensional systems"),
+            (["stats", "--p", "2", "--system", "jacobi-perron", "--check", "mixing",
+              "--wordA", "(1,1)", "--wordB", "(2,1)"],
+             "argument --system: mixing check expects a one-dimensional system"),
+            (["branches", "--p", "2", "--system", "brun"],
+             "argument --system: Brun branches are only observed, not enumerated"),
+            (["stats", "--p", "2", "--system", "brun", "--check", "iota-sum", "--bound", "2^6"],
+             "argument --system: Brun branches are only observed, not enumerated"),
         ],
         ids=["random-point", "prime", "precision", "mixing-n", "word-digit", "n-below-word",
-             "digits-file"],
+             "digits-file", "digit-means-family", "mixing-family", "branches-brun",
+             "iota-sum-brun"],
     )
     def test_value_names_its_argument(self, capsys, argv, message):
         code, out = run_cli(argv)

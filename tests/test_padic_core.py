@@ -17,9 +17,7 @@ from padic_cf import (
     ProductCylinder,
     digit_expand,
     format_approx,
-    format_ball,
     format_rational,
-    fractional_part,
     haar_sample,
     integral_part,
     invert_ball,
@@ -28,7 +26,6 @@ from padic_cf import (
     parse_approx,
     parse_ball,
     parse_rational,
-    residue,
     valuation,
 )
 from padic_cf.cfsystems import digit_class
@@ -64,11 +61,15 @@ any_fractions = st.fractions(
 
 class TestPrimeCtx:
     def test_accepts_primes(self):
-        for p in (2, 3, 5, 7, 97, 1009):
+        for p in (2, 3, 5, 7, 97, 1009, 1759, 2053, 1000003):
             assert PrimeCtx(p).p == p
 
     def test_rejects_composites(self):
-        for n in (0, 1, 4, 6, 91, -3):
+        # 1763 = 41*43 has no factor among the trial bases, and the last five
+        # are strong pseudoprimes to the first few bases: only the
+        # Miller-Rabin rounds reject them
+        for n in (0, 1, 4, 6, 91, -3, 1763, 2047, 1373653, 25326001, 3215031751,
+                  3825123056546413051):
             with pytest.raises(ValueError):
                 PrimeCtx(n)
 
@@ -98,16 +99,6 @@ class TestValuationAndNorm:
         assert ns <= max(nx, ny)
         if nx != ny:
             assert ns == max(nx, ny)
-
-
-class TestResidue:
-    def test_examples(self):
-        assert residue(Fraction(3), P2) == 1
-        assert residue(Fraction(1, 2), P3) == 2
-
-    def test_zero_for_positive_valuation(self):
-        for u in (Fraction(3), Fraction(1, 3), Fraction(-5)):
-            assert residue(2 * u, P2) == 0
 
 
 class TestDigitExpand:
@@ -146,11 +137,11 @@ class TestDigitExpand:
 class TestIntegralFractionalParts:
     def test_minus_one(self):
         assert integral_part(Fraction(-1), P2) == 1
-        assert fractional_part(Fraction(-1), P2) == -2
+        assert Fraction(-1) - integral_part(Fraction(-1), P2) == -2
 
     def test_three_halves(self):
         assert integral_part(Fraction(3, 2), P2) == Fraction(3, 2)
-        assert fractional_part(Fraction(3, 2), P2) == 0
+        assert Fraction(3, 2) - integral_part(Fraction(3, 2), P2) == 0
 
     def test_positive_valuation_has_no_integral_part(self):
         for x in (Fraction(2), Fraction(6), Fraction(4, 3)):
@@ -160,8 +151,11 @@ class TestIntegralFractionalParts:
     def test_decomposition_identity(self, x, p):
         ctx = PrimeCtx(p)
         i = integral_part(x, ctx)
-        f = fractional_part(x, ctx)
-        assert i + f == x
+        # the digit terms of x at positions below 1, from digit_expand
+        lo = min(valuation(x, ctx), 1)
+        terms = zip(range(lo, 1), digit_expand(x, ctx, lo, 1))
+        assert i == sum((d * Fraction(p) ** n for n, d in terms), Fraction(0))
+        f = x - i
         assert f == 0 or valuation(f, ctx) >= 1
         assert i == 0 or digit_class(i, p) is not None
 
@@ -206,7 +200,7 @@ class TestApproxArithmetic:
         z = PadicApprox.from_rational(0, P2, 5)
         assert z.is_exact_zero
         assert z.valuation() == INF
-        assert norm(z) == 0
+        assert norm(z.representative(), P2) == 0
         a = PadicApprox.from_rational(Fraction(2), P2, 6)
         assert (z + a) == a
         assert (z * a).is_exact_zero
@@ -305,7 +299,7 @@ class TestBallsAndMeasure:
                     got = Ball._from_residue(ctx, z, level)
                     want = Ball(ctx, Fraction(z), level)
                     assert got == want and hash(got) == hash(want)
-                    assert str(got) == str(want) == format_ball(want)
+                    assert str(got) == str(want)
                     assert (got._clo, got._cunit) == (want._clo, want._cunit)
                     assert type(got.center) is Fraction
                     assert got.contains_digits(INF, 0, INF) is want.contains_digits(INF, 0, INF)
@@ -430,5 +424,5 @@ class TestSerialization:
 
     def test_ball_round_trip(self):
         b = Ball(P3, Fraction(3), 2)
-        assert format_ball(b) == "3/1~2"
+        assert str(b) == "3/1~2"
         assert parse_ball("3/1~2", P3) == b

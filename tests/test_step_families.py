@@ -204,16 +204,23 @@ def test_mixed_point_is_the_branch_applied_forwards(name, make, p):
     approximations, so that steps run over a denominator x0 != 1: the next
     point equals the branch applied forwards in value and in type (a term of
     exact coordinates over an exact pivot stays a Fraction).  In more than
-    one dimension some step has an exact pivot beside an approximation."""
+    one dimension some step has an exact pivot beside an approximation.  An
+    exact-zero PadicApprox in place of each Fraction(0) steps to the same
+    digit and next point, also by the branch applied forwards."""
     ctx = PrimeCtx(p)
     spec = make(ctx)
     rng = random.Random(f"mixed/{name}/p{p}")
-    checked = over_x0 = exact_pivot_beside_approx = 0
+    checked = over_x0 = exact_pivot_beside_approx = approx_zeros = 0
     while checked < 300:
         x = _mixed_point(rng, ctx, spec.m)
         for _ in range(4):  # mixed points turn approximate within a few steps
             if checked == 300:
                 break
+            z = None
+            if Fraction(0) in x:
+                z = tuple(PadicApprox.exact_zero(ctx) if c == Fraction(0) else c for c in x)
+                assert _outcome(lambda: step(spec, z)) == _outcome(lambda: step(spec, x))
+                approx_zeros += 1
             try:
                 d, nxt = step(spec, x)
             except PadicError:
@@ -221,12 +228,14 @@ def test_mixed_point_is_the_branch_applied_forwards(name, make, p):
             forwards = apply_forward(branch_lft(spec, d), x)
             assert forwards == nxt
             assert [type(c) for c in forwards] == [type(c) for c in nxt]
+            if z is not None:
+                assert apply_forward(branch_lft(spec, d), z) == nxt
             exact = [c for c in x if isinstance(c, Fraction)]
             over_x0 += any(c.denominator != 1 for c in exact)
             exact_pivot_beside_approx += isinstance(x[d.pivot - 1], Fraction) and len(exact) < spec.m
             checked += 1
             x = nxt
-    assert checked == 300 and over_x0 > 0
+    assert checked == 300 and over_x0 > 0 and approx_zeros > 0
     assert exact_pivot_beside_approx > 0 or spec.m == 1
 
 
