@@ -37,7 +37,7 @@ from .errors import (
     InvalidDigit,
     PrecisionExhausted,
 )
-from .lft import LftParams, apply_inverse, certify_hyperbolic, inverse_matrix, iota
+from .lft import LftParams, apply_inverse, inverse_matrix, iota
 from .padic_core import (
     INF,
     PadicApprox,
@@ -527,9 +527,7 @@ def convergents(spec: SystemSpec, digits):
     """
     carried = None
     for d in digits:
-        f = branch_lft(spec, d)
-        certify_hyperbolic(f)
-        branch = _integral(inverse_matrix(f))
+        branch = _integral(inverse_matrix(branch_lft(spec, d)))
         carried = branch if carried is None else _compose(carried, branch)
         x0 = carried[0][0]
         vec = tuple(Fraction(row[0], x0) for row in carried[1:])

@@ -22,6 +22,7 @@ from .padic_core import (
     PadicApprox,
     PrimeCtx,
     ProductCylinder,
+    _intval,
     as_fraction,
     format_rational,
     valuation,
@@ -246,9 +247,38 @@ def sufficient_hyperbolic(f: LftParams, witness) -> bool:
     return all(valuation(y, ctx) >= 1 for y in apply_forward(f, witness))
 
 
-def _residue(x, mod: int) -> int:
-    """A p-integral rational x mod p**L = mod."""
-    return x.numerator * pow(x.denominator, -1, mod) % mod
+def _reduced(f: LftParams) -> tuple:
+    """f's integers for preimage_cylinder, reduced on f's first call and kept
+    on f like its certificate; they do not depend on the cylinder.
+
+    Writing n/d for numerators and denominators, p_k/(x + q_k) is
+    N_k/(A_k*x + C_k) with N_k = pn_k*qd_k, A_k = pd_k*qd_k, C_k = pd_k*qn_k.
+    Returns (s-1, N_s, A_s, C_s, v+2u, p**h, coords), where coordinate k has
+    (level - n, t-1, A_t, C_t, p**P_t, R_t), t = sigma^-1(k), so that
+    (x + q_t)/p_t = (A_t*x + C_t)/(p**P_t * R_t) with R_t prime to p; the
+    pivot has A = 0 and C = p**P = R = 1, for the factor 1.
+    """
+    red = getattr(f, "_red", None)
+    if red is None:
+        cert = _certified(f)
+        p = f.ctx.p
+        ints = [
+            (x.numerator * q.denominator, x.denominator * q.denominator, x.denominator * q.numerator)
+            for x, q in zip(f.pvec, f.qvec)
+        ]
+        coords = []
+        for k in range(1, f.m + 1):
+            if k == f.i:
+                coords.append((cert.v + 2 * cert.u + cert.h, 0, 0, 1, 1, 1))
+                continue
+            t = f.sigma_inv(k)
+            num, lin, const = ints[t - 1]
+            pp = p ** _intval(num, p)
+            off = cert.v + cert.u - valuation(f.pvec[t - 1], f.ctx)
+            coords.append((off, t - 1, lin, const, pp, num // pp))
+        red = (f.s - 1, *ints[f.s - 1], cert.v + 2 * cert.u, p**cert.h, tuple(coords))
+        object.__setattr__(f, "_red", red)
+    return red
 
 
 def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]:
@@ -256,11 +286,11 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
 
     Returns p**h pairwise disjoint product cylinders whose measures sum to
     measure(c) / iota(f).  Piece y has pivot centre x = base + p**e * y and
-    centre x * (c_t + q_t) / p_t at coordinate k != i, t = sigma^-1(k): all
-    p-integral, so built as (a_k + b_k * y) mod p**level from integer
-    residues taken once per call.
+    centre x * w_k, w_k = (c_t + q_t) / p_t, at coordinate k != i,
+    t = sigma^-1(k): all p-integral, so built as (a_k + b_k * y) mod p**level
+    from _reduced(f)'s integers, with one modular inverse per coordinate.
     """
-    cert = _certified(f)
+    s, num, lin, const, e, count, parts = _reduced(f)
     if c.m != f.m:
         raise ValueError("dimension mismatch")
     ctx = f.ctx
@@ -269,26 +299,21 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
     balls = c.balls
     if any(b._clo < 1 for b in balls):
         raise ValueError("cylinder must be contained in (p*Z_p)^m")
-    s = f.s
-    e = n + cert.v + 2 * cert.u
-    base = f.pvec[s - 1] / (balls[s - 1].center + f.qvec[s - 1])
+    centres = [b._cunit * p**b._clo for b in balls]
+    unit = lin * centres[s] + const  # base = num / unit, a p-adic unit
+    pe = p ** (n + e)
     coords = []
-    for k in range(1, f.m + 1):
-        if k == f.i:
-            level, a, b = e + cert.h, base, p**e
-        else:
-            t = f.sigma_inv(k)
-            pt = f.pvec[t - 1]
-            level = n + cert.v + cert.u - valuation(pt, ctx)
-            w = (balls[t - 1].center + f.qvec[t - 1]) / pt
-            a, b = base * w, p**e * w
+    for off, t, lin_t, const_t, pp, r in parts:
+        level = n + off
         mod = p**level
-        coords.append((level, mod, _residue(a, mod), _residue(b, mod)))
+        w = lin_t * centres[t] + const_t  # w_k = w / (pp * r)
+        inv = pow(unit * r, -1, mod)
+        coords.append((level, mod, num * w // pp * inv % mod, pe * w // pp * unit * inv % mod))
     return [
         ProductCylinder(
             tuple(Ball._from_residue(ctx, (a + b * y) % mod, level) for level, mod, a, b in coords)
         )
-        for y in range(p**cert.h)
+        for y in range(count)
     ]
 
 

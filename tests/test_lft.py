@@ -1,6 +1,8 @@
 """Branch transformations: hyperbolicity, inversion, Jacobian factor, preimages."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -262,6 +264,31 @@ class TestPreimageCylinder:
         with pytest.raises(ValueError):
             preimage_cylinder(f, c)
 
+    @pytest.mark.parametrize("reduced", [False, True], ids=["fresh", "reduced"])
+    def test_rejects_cylinders_it_cannot_pull_back(self, reduced):
+        # on a fresh branch and on one whose integers are already kept
+        good = ProductCylinder((Ball(P2, Fraction(2), 2), Ball(P2, Fraction(4), 2)))
+        cases = [
+            (ProductCylinder((Ball(P2, Fraction(2), 2),)), "dimension mismatch"),
+            (
+                ProductCylinder((Ball(P2, Fraction(2), 2), Ball(P2, Fraction(1), 2))),
+                r"contained in \(p\*Z_p\)\^m",
+            ),
+            (
+                ProductCylinder((Ball(P2, Fraction(2), 2), Ball(P2, Fraction(4), 3))),
+                "not uniform",
+            ),
+        ]
+        for c, message in cases:
+            f = random_hyperbolic(random.Random(0), P2, 2)
+            if reduced:
+                preimage_cylinder(f, good)
+            with pytest.raises(ValueError, match=message):
+                preimage_cylinder(f, c)
+        assert preimage_cylinder(f, good) == preimage_cylinder(
+            random_hyperbolic(random.Random(0), P2, 2), good
+        )
+
 
 class TestCertificatePerBranch:
     """A branch is certified once, on its first iota, apply_inverse or
@@ -306,6 +333,21 @@ class TestCertificatePerBranch:
         preimage_cylinder(g, c)
         preimage_cylinder(f, c)
         assert [id(x) for x in counted] == [id(f), id(g)]
+
+    def test_equal_branches_keep_their_own_reduction(self):
+        from padic_cf import lft
+
+        f, c = self.branch_and_cylinder(43)
+        g, _ = self.branch_and_cylinder(43)
+        assert preimage_cylinder(f, c) == preimage_cylinder(g, c)
+        red = lft._reduced(f)
+        assert lft._reduced(f) is red
+        assert lft._reduced(g) == red and lft._reduced(g) is not red
+        # kept on f, not in a cache that outlives it
+        ref = weakref.ref(f)
+        del f, red
+        gc.collect()
+        assert ref() is None
 
     def test_non_hyperbolic_raises_on_every_call(self, counted):
         f = one_dim(P2, 1, 2)  # ord(q_s) = 1 > 0: condition (ii)

@@ -19,6 +19,8 @@ denominator x0', and report by report against a reference loop.  The
 one-dimensional ones check the digit-means Monte Carlo, also on the integer
 path, report by report against a reference loop on `step`.  Both Monte Carlo
 drivers count the samples they drop, checked against independent counts.
+Every digit that `pivot_valuation` accepts gives a hyperbolic branch, and
+`preimage_cylinder`'s integer pieces equal a `Fraction` construction.
 
 Regenerate the digest file only when a change to the outputs is intended:
 
@@ -37,6 +39,9 @@ from pathlib import Path
 import pytest
 
 from padic_cf import (
+    Digit1D,
+    DigitMD,
+    InvalidDigit,
     ExpansionTerminated,
     InsufficientData,
     PadicApprox,
@@ -469,6 +474,58 @@ def test_cylinder_mc_counts_the_samples_it_drops(monkeypatch):
         assert len(raised) == 100
 
 
+# -- accepted digits give hyperbolic branches ----------------------------------
+
+
+def _accepted(spec, d):
+    try:
+        pivot_valuation(spec, d)
+    except InvalidDigit:
+        return False
+    return True
+
+
+def _digits_by_valuation(spec):
+    """A digit, of both digit types when m = 1, for every pivot and every
+    (p-exponent 0..3, integral part 0 or of class 0..3) per slot: hyperbolicity reads only the valuations and
+    which q_k are 0, so this covers every accepted shape of these depths."""
+    p = spec.ctx.p
+    entries = [(r, q) for r in range(4) for q in [Fraction(0)] + [Fraction(1, p**c) for c in range(4)]]
+    one_dim = [Digit1D(r, q) for r, q in entries] if spec.m == 1 else []
+    return one_dim + [
+        DigitMD(tuple(r for r, _ in slots), tuple(q for _, q in slots), i)
+        for slots in itertools.product(entries, repeat=spec.m)
+        for i in range(1, spec.m + 1)
+    ]
+
+
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_accepted_digits_give_hyperbolic_branches(name, make, p):
+    # convergents builds a branch per digit without certifying it: every
+    # digit pivot_valuation accepts must give a hyperbolic branch, whether
+    # built by valuation, enumerated, or emitted by expand from Haar points
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    digits = [d for d in _digits_by_valuation(spec) if _accepted(spec, d)]
+    assert digits
+    if not name.startswith("brun"):
+        bound = max(
+            p**j
+            for j in range(spec.m + 1, 16)
+            if sum(branch_counts(spec, p**j).values()) <= BRANCHES_PER_CASE
+        )
+        enumerated = enumerate_branches(spec, bound)
+        assert len(enumerated) >= 10
+        digits += [d for d, _ in enumerated]
+    rng = random.Random(f"hyperbolic/{name}/p{p}")
+    for _ in range(10):
+        emitted = expand(spec, haar_sample_vector(ctx, spec.m, 80, rng), 80).digits
+        assert emitted and all(_accepted(spec, d) for d in emitted)
+        digits += emitted
+    for d in digits:
+        certify_hyperbolic(branch_lft(spec, d))
+
+
 # -- preimage pieces against the Fraction construction ------------------------
 
 
@@ -548,6 +605,23 @@ def test_preimage_pieces_match_the_fraction_construction(name, make, p):
     for c in _cylinders_at_levels_1_to_4(rng, ctx, spec.m):
         for f in branches:
             _assert_pieces_match(f, c)
+
+
+def test_preimage_branch_integers_do_not_depend_on_the_cylinder():
+    # the same branch objects meet cylinders at levels 4, 1, 3, 2 in turn, so
+    # what a branch keeps from its first call serves every later level
+    rng = random.Random(59)
+    for p in (2, 3, 5):
+        ctx = PrimeCtx(p)
+        spec = SystemSpec.jacobi_perron(ctx, 2)
+        for m in (1, 2, 3):
+            branches = [random_hyperbolic(rng, ctx, m) for _ in range(20)]
+            if m == 2:
+                branches += [f for _, f in enumerate_branches(spec, p**5)][:40]
+            cylinders = _cylinders_at_levels_1_to_4(rng, ctx, m)
+            for n in (4, 1, 3, 2):
+                for f in branches:
+                    _assert_pieces_match(f, cylinders[n - 1])
 
 
 def test_preimage_pieces_match_on_random_branches():
