@@ -136,18 +136,6 @@ class SystemSpec:
     def brun(cls, ctx: PrimeCtx, m: int) -> "SystemSpec":
         return cls(ctx, BRUN, None, m)
 
-    @property
-    def name(self) -> str:
-        if self.kind == BRUN:
-            return "brun"
-        if self.kind == MULTI_DIM:
-            return "jacobi-perron" if self.ell == INF else "tlm"
-        if self.ell == 0:
-            return "schneider"
-        if self.ell == INF:
-            return "ruban"
-        return "tl"
-
     @functools.cached_property
     def sigma(self) -> tuple[int, ...]:
         """The permutation of every branch, sigma[k-1] = sigma(k): the identity
@@ -281,43 +269,30 @@ def _entry_depth(pexp: int, q, ell, p: int) -> int:
     return depth
 
 
-def _rules(spec: SystemSpec, point) -> tuple[int, list]:
-    """(pivot i, [exponent r_k per slot k]), r_k None for the zero term of an
-    exact zero coordinate.  point[k] is step_core's normalised triple
+def _pivot(spec: SystemSpec, point) -> int:
+    """The pivot i of step_core's normalised point.  point[k] is the triple
     (ord, unit, abs_prec) of coordinate k + 1: a nonzero unit means ord is the
     valuation, unit 0 with abs_prec inf is the exact zero, and unit 0 with a
     finite abs_prec = ord means only valuation >= ord is known.  The pivot is
     coordinate 1, or for Brun the first coordinate of least valuation; raises
     when it is zero or its valuation undetermined."""
     if spec.kind != BRUN:
-        d_i, unit, prec = point[0]
+        _, unit, prec = point[0]
         if not unit:
             if prec == INF:
                 raise ExpansionTerminated("pivot coordinate is exact zero")
             raise PrecisionExhausted("pivot valuation not determined")
-        i = 1
-    else:
-        known = [(lo, k) for k, (lo, unit, _) in enumerate(point, 1) if unit]
-        if not known:
-            if all(prec == INF for _, _, prec in point):
-                raise ExpansionTerminated("orbit reached exact zero")
-            raise PrecisionExhausted("no coordinate has a determined valuation")
-        # A coordinate known only to be 0 below a depth P <= min(known) could
-        # tie or undercut the pivot; its quotient by the pivot then has
-        # absolute precision P - min(known) <= 0, and its split raises
-        # PrecisionExhausted.
-        d_i, i = min(known)
-    ell = spec.exponent_ell
-    rs = []
-    for src in spec.sigma:
-        if src == i:
-            rs.append(_depth_split(d_i, ell)[0])
-        else:
-            lo, unit, prec = point[src - 1]
-            # lo only bounds the valuation from below when unit is 0;
-            # a positive exponent from it leaves too little precision to split
-            rs.append(None if not unit and prec == INF else _depth_split(d_i - lo, ell)[0])
-    return i, rs
+        return 1
+    known = [(lo, k) for k, (lo, unit, _) in enumerate(point, 1) if unit]
+    if not known:
+        if all(prec == INF for _, _, prec in point):
+            raise ExpansionTerminated("orbit reached exact zero")
+        raise PrecisionExhausted("no coordinate has a determined valuation")
+    # A coordinate known only to be 0 below a depth P <= min(known) could
+    # tie or undercut the pivot; its quotient by the pivot then has
+    # absolute precision P - min(known) <= 0, and its split raises
+    # PrecisionExhausted.
+    return min(known)[1]
 
 
 def step_core(spec: SystemSpec, x0: int, coords):
@@ -348,21 +323,26 @@ def step_core(spec: SystemSpec, x0: int, coords):
         if not (unit and lo < prec) and prec != INF:  # no nonzero digit below prec
             lo, unit = prec, 0
         point.append((lo, unit, prec))
-    i, rs = _rules(spec, point)
+    i = _pivot(spec, point)
     d, u_i, prec_i = point[i - 1]
     inv = pow(u_i, -1, p ** (d + 1))
     inv_prec = prec_i - 2 * d
+    ell = spec.exponent_ell
     pexp, entries, nxt = [], [], []
-    for src, r in zip(spec.sigma, rs):
-        if r is None:
-            pexp.append(0)
-            entries.append((0, 0))
-            nxt.append(EXACT_ZERO)
-            continue
+    for src in spec.sigma:
         if src == i:  # p**r / x_i = p**(r - d) * x0 / u_i
+            r = _depth_split(d, ell)[0]
             lo, unit, prec = r - d, x0, inv_prec + r
         else:  # p**r * x_src / x_i
             lo_s, unit, prec_s = point[src - 1]
+            if not unit and prec_s == INF:  # the zero term of an exact zero
+                pexp.append(0)
+                entries.append((0, 0))
+                nxt.append(EXACT_ZERO)
+                continue
+            # lo_s only bounds the valuation from below when unit is 0;
+            # a positive exponent from it leaves too little precision to split
+            r = _depth_split(d - lo_s, ell)[0]
             lo = lo_s - d
             prec = min(prec_s - d, inv_prec + lo_s)
             if prec <= lo:  # no digit known: zero at precision
@@ -599,16 +579,9 @@ def enumerate_branches(spec: SystemSpec, iota_bound) -> list[tuple]:
     for d in _enumerate(spec, iota_bound):
         f = branch_lft(spec, d)
         entries.append((iota(f), d, f))
-    if spec.kind == ONE_DIM:
-        entries.sort(key=lambda e: (e[0], e[1].k, e[1].v.numerator))
-    else:
-        entries.sort(
-            key=lambda e: (
-                e[0],
-                e[1].pexp,
-                tuple((q.numerator, q.denominator) for q in e[1].qvec),
-            )
-        )
+    entries.sort(
+        key=lambda e: (e[0], e[1].pexp, tuple((q.numerator, q.denominator) for q in e[1].qvec))
+    )
     return [(d, f) for _, d, f in entries]
 
 

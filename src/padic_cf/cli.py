@@ -28,7 +28,13 @@ from .cfsystems import (
     expansion_records,
 )
 from .lft import iota
-from .errors import InvalidDigit, PadicError, ShardProcessDied, WordTooShort
+from .errors import (
+    InsufficientData,
+    InvalidDigit,
+    PadicError,
+    ShardProcessDied,
+    WordTooShort,
+)
 from .padic_core import (
     INF,
     PrimeCtx,
@@ -288,14 +294,19 @@ def cmd_stats(args, out) -> int:
                 f"warning: precision {args.precision} below 4*steps = {4 * args.steps}",
                 file=sys.stderr,
             )
-        rep_a, rep_b = ergodics.digit_mean_reports(
-            spec,
-            args.samples,
-            args.steps,
-            args.seed,
-            precision=args.precision,
-            threads=args.threads,
-        )
+        try:
+            rep_a, rep_b = ergodics.digit_mean_reports(
+                spec,
+                args.samples,
+                args.steps,
+                args.seed,
+                precision=args.precision,
+                threads=args.threads,
+            )
+        except InsufficientData as exc:
+            if args.precision is None:
+                raise
+            raise CliError(f"argument --precision: {exc}")
         for functional, rep in (("a", rep_a), ("b", rep_b)):
             rows.append(
                 (
@@ -316,8 +327,9 @@ def cmd_stats(args, out) -> int:
     elif args.check == "mixing":
         if spec.kind != cfsystems.ONE_DIM:
             raise CliError("argument --system: mixing check expects a one-dimensional system")
-        if not args.wordA or not args.wordB:
-            raise CliError("mixing check requires --wordA and --wordB")
+        for flag, word in (("--wordA", args.wordA), ("--wordB", args.wordB)):
+            if not word:
+                raise CliError(f"argument {flag}: required by --check mixing")
         A = _parse_cylinder(spec, args.wordA, "--wordA")
         B = _parse_cylinder(spec, args.wordB, "--wordB")
         try:

@@ -13,6 +13,7 @@ cylinder test reads the triples over x0 without inverting it.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -132,11 +133,13 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
 
     The shard layout depends only on n_samples, never on the worker count, so
     results are reproducible whether or not the run is parallel.  With more
-    than one shard and threads > 1 the shards run in up to `threads` forked
-    processes.  The worker reaches them by fork inheritance, not by pickling,
-    so it may be a closure; only the (seed, size) jobs and the shard results
-    cross the process boundary, and `map` returns them in shard order.  A
-    worker process that dies raises ShardProcessDied.
+    than one shard and threads > 1 the shards run in forked processes, no more
+    than `threads` and the CPU count (at least 2, so that they stay child
+    processes on a one-CPU host).  The worker reaches them by fork
+    inheritance, not by pickling, so it may be a closure; only the (seed,
+    size) jobs and the shard results cross the process boundary, and `map`
+    returns them in shard order.  A worker process that dies raises
+    ShardProcessDied.
     """
     jobs = []
     offset = 0
@@ -153,7 +156,7 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
 
         try:
             with ProcessPoolExecutor(
-                min(threads, len(jobs)),
+                min(threads, len(jobs), max(2, os.cpu_count() or 1)),
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_set_shard_worker,
                 initargs=(worker,),

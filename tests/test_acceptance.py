@@ -143,7 +143,7 @@ def test_criterion_3_convergence_rate():
                             computable = False
                             break
                         continue
-                    assert diff.valuation() >= j + 1, (spec.name, spec.ctx.p, j)
+                    assert diff.valuation() >= j + 1, (spec, spec.ctx.p, j)
                 if not computable:
                     break
                 checks += 1
@@ -237,7 +237,7 @@ def test_criterion_6_invariance():
             gap = abs(rep.estimate - float(rep.theoretical))
             if rep.stderr > 0:
                 worst_sigma = max(worst_sigma, gap / rep.stderr)
-            assert gap <= 4 * rep.stderr or gap == 0.0, (spec.name, k, gap, rep.stderr)
+            assert gap <= 4 * rep.stderr or gap == 0.0, (spec, k, gap, rep.stderr)
 
     # exact decomposition: preimage measures over every branch of pivot
     # valuation class <= D sum to measure(c) * (1 - p^-D)
@@ -256,7 +256,7 @@ def test_criterion_6_invariance():
                     continue
                 for piece in preimage_cylinder(f, c):
                     total += measure(piece)
-            assert total == measure(c) * (1 - Fraction(1, p**D)), spec.name
+            assert total == measure(c) * (1 - Fraction(1, p**D)), spec
     report(
         "criterion-6 invariance",
         True,

@@ -565,6 +565,91 @@ class TestMalformedInput:
         assert "shard worker process exited" in err and "--threads 1" in err
 
 
+class TestStatsInputErrors:
+    """Missing words and too few digit-means observations name their flag."""
+
+    @pytest.mark.parametrize(
+        "words,message",
+        [
+            (["--wordA", "(1,1)"], "error: argument --wordB: required by --check mixing\n"),
+            (["--wordB", "(2,1)"], "error: argument --wordA: required by --check mixing\n"),
+        ],
+        ids=["no-wordB", "no-wordA"],
+    )
+    def test_mixing_word_missing(self, capsys, words, message):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "mixing", *words]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == message
+
+    def test_digit_means_precision_too_low(self, capsys):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "digit-means",
+             "--precision", "3", "--steps", "50", "--samples", "50"]
+        )
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: argument --precision: only 80 of 2500 digit observations completed"
+        )
+
+
+class TestInputEdges:
+    """Inputs at the edges of the parsers: accepted ones run like their plain
+    form, and refused ones exit 2 with the flag or argument named."""
+
+    def test_tl_at_l_inf_expands_like_ruban(self):
+        flags = ["--p", "3", "random:40", "--steps", "12", "--seed", "6"]
+        code, out = run_cli(["expand", "--system", "tl", "--l", "inf", *flags])
+        assert code == 0 and len(out.splitlines()) > 2
+        assert (code, out) == run_cli(["expand", "--system", "ruban", *flags])
+
+    def test_blank_lines_in_a_digit_file(self, tmp_path):
+        flags = ["--p", "3", "--system", "schneider", "--seed", "2"]
+        _, digits = run_cli(["expand", *flags, "random:30", "--steps", "6"])
+        plain, spaced = tmp_path / "plain.jsonl", tmp_path / "spaced.jsonl"
+        plain.write_text(digits, encoding="utf-8")
+        spaced.write_text("\n" + digits.replace("\n", "\n  \n\n"), encoding="utf-8")
+        code, out = run_cli(["convergents", *flags, str(plain)])
+        assert code == 0 and len(out.splitlines()) == 6
+        assert run_cli(["convergents", *flags, str(spaced)]) == (code, out)
+
+    def test_record_with_neither_digit_nor_status(self, tmp_path, capsys):
+        path = tmp_path / "digits.jsonl"
+        path.write_text('{"j":0,"ord_consumed":1}\n', encoding="utf-8")
+        code, out = run_cli(["convergents", "--p", "2", "--system", "schneider", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: invalid digit record: '{\"j\":0,\"ord_consumed\":1}'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["expand", "--p", "2", "--system", "schneider", "2/3", "4/3"],
+             "argument point: expected 1 coordinates, got 2"),
+            (["expand", "--p", "2", "--system", "schneider", "2/3", "--steps", "x"],
+             "argument --steps: expected an integer >= 1, got 'x'"),
+            (["expand", "--p", "x", "--system", "schneider", "2/3"],
+             "argument --p: expected a prime, got 'x'"),
+            (["branches", "--p", "2", "--system", "ruban", "--bound", "2^-1"],
+             "argument --bound: exponent must be >= 0, got '2^-1'"),
+        ],
+        ids=["two-coordinates-m1", "steps-syntax", "p-syntax", "bound-negative-exponent"],
+    )
+    def test_refused_value(self, capsys, argv, message):
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert message in capsys.readouterr().err
+
+    def test_trailing_separator_in_a_word(self):
+        argv = ["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+                "--wordB", "(2,1)", "--n", "3"]
+        code, out = run_cli(argv + ["--wordA", "(1,1);"])
+        assert code == 0
+        assert out == golden_text("stats_mixing_schneider_p2.csv")
+
+
 class TestOneCoordinateSystems:
     """Multi-dim and Brun systems with --m 1 run like the 1-D map they equal."""
 

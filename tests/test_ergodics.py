@@ -219,6 +219,32 @@ class TestInvarianceMC:
             tol = 4 * math.hypot(pre.stderr, direct.stderr)
             assert abs(pre.estimate - direct.estimate) <= tol
 
+    @pytest.mark.parametrize("every,done", [(4, 250), (2, 500)])
+    def test_insufficient_data(self, monkeypatch, every, done):
+        # the step runs out of precision on all but one in `every` samples;
+        # fewer than half completed raises, exactly half still reports
+        from padic_cf import ergodics
+
+        calls = []
+        step_core = ergodics.step_core
+
+        def mostly_exhausted(*args):
+            calls.append(None)
+            if len(calls) % every:
+                raise PrecisionExhausted("not enough digits")
+            return step_core(*args)
+
+        monkeypatch.setattr(ergodics, "step_core", mostly_exhausted)
+        s = SystemSpec.schneider(P2)
+        c = ProductCylinder((Ball(P2, Fraction(0), 1),))
+        if done < 500:
+            with pytest.raises(InsufficientData, match=f"^only {done} of 1000 samples completed$"):
+                invariance_mc(s, c, 1000, seed=8)
+        else:
+            rep = invariance_mc(s, c, 1000, seed=8)
+            assert (rep.n_samples, rep.n_dropped, rep.estimate) == (500, 500, 1.0)
+        assert len(calls) == 1000
+
     @pytest.mark.parametrize(
         "make_spec,same_as",
         [
@@ -377,6 +403,41 @@ class TestShardPool:
     def test_more_workers_than_shards(self):
         out = _run_sharded(lambda job: job, 15, 4, chunk=10, threads=5)
         assert out == [(4, 10), (5, 5)]
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # the executor forks all its workers at the first submit, so an
+        # uncapped threads value would fork one process per shard
+        import concurrent.futures
+
+        import padic_cf.ergodics as ergodics
+
+        sizes = []
+
+        class InProcessExecutor:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+        monkeypatch.setattr(ergodics, "_shard_worker", None)
+        serial = [(j, 1) for j in range(1000)]
+        for cpus, cap in ((64, 64), (1, 2), (None, 2)):
+            monkeypatch.setattr(ergodics.os, "cpu_count", lambda: cpus)
+            assert _run_sharded(lambda j: j, 1000, 0, chunk=1, threads=10**6) == serial
+            assert sizes.pop() == cap, cpus
+        # fewer jobs than CPUs: one worker a job
+        monkeypatch.setattr(ergodics.os, "cpu_count", lambda: 64)
+        assert _run_sharded(lambda j: j, 3, 0, chunk=1, threads=10**6) == serial[:3]
+        assert sizes == [3]
 
     def test_import_loads_no_pool_module(self):
         code = (

@@ -236,6 +236,25 @@ class TestApproxArithmetic:
         lo = approx.valuation()
         assert approx.digits == digit_expand(exact, ctx, lo, approx.abs_prec)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_division_with_an_exact_rational(self, p):
+        """x / q and q / x for an exact nonzero q are the exact quotients
+        truncated at x's precision moved by ord(q), less 2*ord(x) for q / x."""
+        ctx = PrimeCtx(p)
+        rng = random.Random(p)
+        for _ in range(40):
+            x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**6), rng.randint(1, 10**3))
+            q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 10**4), rng.randint(1, 10**3))
+            if rng.random() < 0.3:
+                q = q.numerator
+            vx, vq = valuation(x, ctx), valuation(q, ctx)
+            n = vx + rng.randint(1, 12)
+            a = PadicApprox.from_rational(x, ctx, n)
+            assert a / q == PadicApprox.from_rational(x / q, ctx, n - vq)
+            assert q / a == PadicApprox.from_rational(q / x, ctx, n - 2 * vx + vq)
+        with pytest.raises(DivisionByZeroAtPrecision):
+            a / Fraction(0)
+
     def test_precision_rules_match_contract(self):
         ctx = P3
         x = PadicApprox.from_rational(Fraction(6, 5), ctx, 9)   # ord 1
