@@ -46,8 +46,6 @@ from .padic_core import (
     valuation,
 )
 
-CSV_HEADER = "check,p,l,m,estimate,stderr,theoretical,pass"
-
 # Most branches a command lists (21,844 take about 2 s).
 BRANCH_CAP = 50_000
 
@@ -104,30 +102,32 @@ def _bound(s: str) -> int:
     return b**e
 
 
-# systems whose depth parameter is not a flag, and why
-_NO_L = {"schneider": "fixes l = 0", "ruban": "fixes l = inf", "brun": "has no depth parameter"}
+# --system name: (the spec it builds from (ctx, l, m), why it refuses --l or
+# None when it requires --l, its default --m)
+_SYSTEMS = {
+    "schneider": (lambda ctx, l, m: SystemSpec.schneider(ctx), "fixes l = 0", 1),
+    "ruban": (lambda ctx, l, m: SystemSpec.ruban(ctx), "fixes l = inf", 1),
+    "tl": (
+        lambda ctx, l, m: SystemSpec.multi_dim(ctx, l, m) if m > 1 else SystemSpec.one_dim(ctx, l),
+        None,
+        1,
+    ),
+    "jacobi-perron": (lambda ctx, l, m: SystemSpec.jacobi_perron(ctx, m), "fixes l = inf", 2),
+    "brun": (lambda ctx, l, m: SystemSpec.brun(ctx, m), "has no depth parameter", 2),
+}
 
 
 def _build_spec(args) -> SystemSpec:
-    ctx = PrimeCtx(args.p)
-    system = args.system
-    if args.l is not None and system in _NO_L:
-        raise CliError(f"argument --l: --system {system} {_NO_L[system]}")
-    if args.m != 1 and system in ("schneider", "ruban"):
-        raise CliError(f"argument --m: --system {system} is one-dimensional, got {args.m}")
-    if system == "schneider":
-        return SystemSpec.schneider(ctx)
-    if system == "ruban":
-        return SystemSpec.ruban(ctx)
-    if system == "tl":
-        if args.l is None:
-            raise CliError("argument --l: required by --system tl")
-        if args.m > 1:
-            return SystemSpec.multi_dim(ctx, args.l, args.m)
-        return SystemSpec.one_dim(ctx, args.l)
-    if system == "jacobi-perron":
-        return SystemSpec.multi_dim(ctx, INF if args.l is None else args.l, args.m)
-    return SystemSpec.brun(ctx, args.m)
+    build, no_l, default_m = _SYSTEMS[args.system]
+    if args.l is not None and no_l is not None:
+        raise CliError(f"argument --l: --system {args.system} {no_l}")
+    if args.l is None and no_l is None:
+        raise CliError(f"argument --l: required by --system {args.system}")
+    m = default_m if args.m is None else args.m
+    spec = build(PrimeCtx(args.p), args.l, m)
+    if spec.m != m:
+        raise CliError(f"argument --m: --system {args.system} is one-dimensional, got {m}")
+    return spec
 
 
 def _parse_point(spec: SystemSpec, tokens: list[str], seed: int, name: str = "point") -> tuple:
@@ -249,15 +249,6 @@ def cmd_branches(args, out) -> int:
     return 0
 
 
-def _csv_row(out, check, p, l, m, estimate, stderr, theoretical, passed):
-    theo = "" if theoretical is None else repr(float(theoretical))
-    _emit(
-        f"{check},{p},{l},{m},{repr(float(estimate))},{repr(float(stderr))},"
-        f"{theo},{str(bool(passed)).lower()}",
-        out,
-    )
-
-
 def _parse_cylinder(spec: SystemSpec, text: str, flag: str):
     """The symbolic cylinder of a word: '(k,v)' letters separated by ';', for
     1-D systems.  Errors name the flag."""
@@ -282,8 +273,21 @@ def _parse_cylinder(spec: SystemSpec, text: str, flag: str):
 def cmd_stats(args, out) -> int:
     spec = _build_spec(args)
     p = spec.ctx.p
-    ell_s = spec.ell_str
     rows = []
+
+    def row(check, estimate, stderr, theoretical, passed) -> dict:
+        """One output row; its keys are the CSV header."""
+        return {
+            "check": check,
+            "p": p,
+            "l": spec.ell_str,
+            "m": spec.m,
+            "estimate": float(estimate),
+            "stderr": float(stderr),
+            "theoretical": float(theoretical),
+            "pass": bool(passed),
+        }
+
     if args.check == "digit-means":
         if spec.kind != cfsystems.ONE_DIM:
             raise CliError(
@@ -307,23 +311,15 @@ def cmd_stats(args, out) -> int:
             if args.precision is None:
                 raise
             raise CliError(f"argument --precision: {exc}")
-        for functional, rep in (("a", rep_a), ("b", rep_b)):
-            rows.append(
-                (
-                    f"digit-mean-{functional}",
-                    rep.estimate,
-                    rep.stderr,
-                    rep.theoretical,
-                    rep.within(4.0),
-                )
-            )
+        for name, rep in (("digit-mean-a", rep_a), ("digit-mean-b", rep_b)):
+            rows.append(row(name, rep.estimate, rep.stderr, rep.theoretical, rep.within(4.0)))
     elif args.check == "iota-sum":
         # the literal sum over every branch against the sum of class counts
         bound = p**20 if args.bound is None else args.bound
         branches = _capped_branches(spec, bound, "the literal iota-sum")
         total = sum((1 / iota(f) for _, f in branches), Fraction(0))
         theo = ergodics.iota_sum(spec, bound)
-        rows.append(("iota-sum", total, 0.0, theo, total == theo))
+        rows.append(row("iota-sum", total, 0.0, theo, total == theo))
     elif args.check == "mixing":
         if spec.kind != cfsystems.ONE_DIM:
             raise CliError("argument --system: mixing check expects a one-dimensional system")
@@ -337,7 +333,7 @@ def cmd_stats(args, out) -> int:
         except WordTooShort as exc:
             raise CliError(f"argument --n: {exc}, the length of --wordB")
         passed = abs(rep.lhs - rep.rhs) <= rep.tail_bound
-        rows.append(("mixing", rep.lhs, 0.0, rep.rhs, passed))
+        rows.append(row("mixing", rep.lhs, 0.0, rep.rhs, passed))
     else:  # invariance
         rng = random.Random(args.seed)
         for idx in range(args.cylinders):
@@ -346,32 +342,19 @@ def cmd_stats(args, out) -> int:
                 spec, c, args.samples, args.seed + 1000 * (idx + 1), threads=args.threads
             )
             rows.append(
-                (f"invariance-{idx}", rep.estimate, rep.stderr, rep.theoretical, rep.within(4.0))
+                row(f"invariance-{idx}", rep.estimate, rep.stderr, rep.theoretical, rep.within(4.0))
             )
 
     if args.format == "json":
-        for check, est, se, theo, passed in rows:
-            _emit(
-                json.dumps(
-                    {
-                        "check": check,
-                        "p": p,
-                        "l": ell_s,
-                        "m": spec.m,
-                        "estimate": float(est),
-                        "stderr": float(se),
-                        "theoretical": None if theo is None else float(theo),
-                        "pass": bool(passed),
-                    },
-                    separators=(",", ":"),
-                ),
-                out,
-            )
+        for r in rows:
+            _emit(json.dumps(r, separators=(",", ":")), out)
     else:
-        _emit(CSV_HEADER, out)
-        for check, est, se, theo, passed in rows:
-            _csv_row(out, check, p, ell_s, spec.m, est, se, theo, passed)
-    return 0 if all(r[4] for r in rows) else 1
+        _emit(",".join(rows[0]), out)
+        for r in rows:
+            # str of a float is its repr; booleans print lower-case
+            cells = (str(v).lower() if isinstance(v, bool) else str(v) for v in r.values())
+            _emit(",".join(cells), out)
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 # flags beside the system flags, each registered only by the commands that read it
@@ -396,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--system",
             required=True,
-            choices=["schneider", "ruban", "tl", "jacobi-perron", "brun"],
+            choices=list(_SYSTEMS),
         )
         sp.add_argument("--l", type=_ell, default=None, help="depth parameter, integer or 'inf'")
         sp.add_argument("--m", type=_count, default=None, help="dimension")
@@ -441,9 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _fill_defaults(args):
     if "seed" in args and args.seed is None:
         env = os.environ.get("PADIC_CF_SEED")
-        args.seed = int(env) if env else 0
-    if args.m is None:
-        args.m = 2 if args.system in ("jacobi-perron", "brun") else 1
+        try:
+            args.seed = int(env) if env else 0
+        except ValueError:
+            raise CliError(f"PADIC_CF_SEED: expected an integer, got {env!r}")
     bound = getattr(args, "bound", None)
     if bound is not None and bound < args.p:
         raise CliError(f"argument --bound: must be at least p = {args.p}, got {bound}")

@@ -634,23 +634,3 @@ def format_approx(x: PadicApprox) -> str:
     digits_s = ",".join(str(d) for d in x.digits)
     return f"p={x.ctx.p};ord={ord_s};digits={digits_s};prec={x.abs_prec}"
 
-
-def parse_approx(s: str) -> PadicApprox:
-    fields = dict(part.split("=", 1) for part in s.strip().split(";"))
-    ctx = PrimeCtx(int(fields["p"]))
-    if fields["ord"] == "inf":
-        return PadicApprox.exact_zero(ctx)
-    prec = int(fields["prec"])
-    if fields["ord"] == "?":
-        return PadicApprox(ctx, prec, 0, prec)
-    lo = int(fields["ord"])
-    digits = [int(d) for d in fields["digits"].split(",")] if fields["digits"] else []
-    unit = 0
-    for d in reversed(digits):
-        unit = unit * ctx.p + d
-    return PadicApprox(ctx, lo, unit, prec)
-
-
-def parse_ball(s: str, ctx: PrimeCtx) -> Ball:
-    center_s, level_s = s.strip().split("~", 1)
-    return Ball(ctx, parse_rational(center_s), int(level_s))

@@ -33,7 +33,10 @@ from padic_cf import (
     valuation,
 )
 from padic_cf.cfsystems import (
+    BRUN,
     EXHAUSTED,
+    MULTI_DIM,
+    ONE_DIM,
     RUNNING,
     TERMINATED,
     digit_from_obj,
@@ -594,3 +597,26 @@ class TestConvergentsGenerator:
             for row in convergents(spec, word):
                 rows.append(row)
         assert rows == [convergent(spec, word[:j]) for j in range(1, k + 1)]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "kind,ell,m,match",
+        [
+            ("nope", 0, 1, "unknown system kind 'nope'"),
+            (ONE_DIM, 0, 0, "m must be >= 1"),
+            (ONE_DIM, 0, 2, "one-dimensional system requires m = 1"),
+            (BRUN, 0, 2, "Brun's algorithm has no depth parameter"),
+            (MULTI_DIM, -1, 2, "ell must be a nonnegative integer or inf"),
+            (MULTI_DIM, 1.5, 2, "ell must be a nonnegative integer or inf"),
+        ],
+        ids=["kind", "m-0", "one-dim-m2", "brun-ell", "ell-negative", "ell-float"],
+    )
+    def test_system_spec(self, kind, ell, m, match):
+        with pytest.raises(ValueError, match=match):
+            SystemSpec(P2, kind, ell, m)
+
+    def test_step_on_a_coordinate_of_another_prime(self):
+        x = PadicApprox.from_rational(Fraction(3), P3, 5)
+        with pytest.raises(ValueError, match="coordinate prime differs from system prime"):
+            step(SystemSpec.schneider(P2), x)

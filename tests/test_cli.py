@@ -177,8 +177,11 @@ class TestConvergents:
             ("schneider", '{"digit":{"k":0,"v":"1/1"}}', "pivot depth must be >= 1"),
             ("jacobi-perron", '{"digit":{"pexp":[1,0],"q":["0/1","1/2"]}}',
              "zero integral part forces zero exponent"),
+            ("schneider", '{"digit":{"k":1,"v":"1/3"}}',
+             "integral parts must be admissible digit values"),
         ],
-        ids=["one-entry-pexp", "pivot-depth-0", "zero-q-nonzero-exponent"],
+        ids=["one-entry-pexp", "pivot-depth-0", "zero-q-nonzero-exponent",
+             "value-of-another-prime"],
     )
     def test_digit_no_step_emits(self, tmp_path, capsys, system, record, message):
         """Well-typed records that pivot_valuation rejects, each by its own rule."""
@@ -340,6 +343,22 @@ class TestStats:
                 os.environ.pop("PADIC_CF_SEED", None)
         assert with_env == with_flag
 
+    @pytest.mark.parametrize("env,seed", [(" 7 ", "7"), ("-3", "-3")], ids=["spaces", "negative"])
+    def test_env_seed_accepts_what_int_accepts(self, monkeypatch, env, seed):
+        argv = ["expand", "--p", "2", "--system", "schneider", "--steps", "3", "random:20"]
+        monkeypatch.setenv("PADIC_CF_SEED", env)
+        with_env = run_cli(argv)
+        monkeypatch.delenv("PADIC_CF_SEED")
+        assert with_env == run_cli(argv + ["--seed", seed])
+
+    def test_malformed_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADIC_CF_SEED", "abc")
+        code, out = run_cli(["expand", "--p", "2", "--system", "schneider", "random:5"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "error: PADIC_CF_SEED: expected an integer, got 'abc'\n"
+        )
+
 
 class TestArgumentRanges:
     """Counts below 1 are refused by the parser, with the flag named."""
@@ -419,7 +438,7 @@ class TestMalformedInput:
             capsys.readouterr().err
         )
 
-    @pytest.mark.parametrize("system", ["schneider", "ruban", "brun"])
+    @pytest.mark.parametrize("system", ["schneider", "ruban", "brun", "jacobi-perron"])
     def test_l_for_a_system_without_a_depth_flag(self, capsys, system):
         code, out = run_cli(["branches", "--p", "2", "--system", system, "--l", "1"])
         assert code == 2 and out == ""

@@ -202,6 +202,11 @@ class TestInvarianceMC:
         assert rep.estimate == 1.0
         assert rep.theoretical == 1
 
+    def test_cylinder_of_another_dimension(self):
+        c = ProductCylinder((Ball(P2, Fraction(0), 1),) * 2)
+        with pytest.raises(ValueError, match="cylinder dimension mismatch"):
+            invariance_mc(SystemSpec.schneider(P2), c, 10, seed=1)
+
     def test_level_three_ball(self):
         s = SystemSpec.schneider(P2)
         c = ProductCylinder((Ball(P2, Fraction(2), 3),))
@@ -496,6 +501,12 @@ class TestMixing:
         B = SymbolicCylinder(s, (Digit1D(1, Fraction(1)), Digit1D(1, Fraction(1))))
         with pytest.raises(WordTooShort):
             mixing_exact(SymbolicCylinder(s, ()), B, 1)
+
+    def test_cylinders_of_two_systems(self):
+        A = SymbolicCylinder(SystemSpec.schneider(P2), ())
+        B = SymbolicCylinder(SystemSpec.ruban(P2), ())
+        with pytest.raises(ValueError, match="cylinders must share one system"):
+            mixing_exact(A, B, 1)
 
 
 class TestDiameterBound:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from padic_cf import (
     Ball,
+    DivisionByZeroAtPrecision,
     HyperbolicCert,
     LftParams,
     NotHyperbolicError,
@@ -65,6 +66,12 @@ class TestHyperbolicity:
             certify_hyperbolic(one_dim(P2, 1, 0))
         assert exc.value.condition == 2
 
+    def test_condition_two_needs_ord_p_over_q_positive(self):
+        # ord(q_s) = 0 passes the first clause, and ord(p_s/q_s) = 0 fails the second
+        with pytest.raises(NotHyperbolicError, match=r"ord\(p_s/q_s\) > 0 required") as exc:
+            certify_hyperbolic(LftParams(PrimeCtx(3), 1, 1, (1,), (1,), (1,)))
+        assert exc.value.condition == 2
+
     def test_ruban_branch(self):
         cert = certify_hyperbolic(one_dim(P2, 1, Fraction(1, 2)))
         assert (cert.u, cert.v) == (1, 0)
@@ -89,6 +96,8 @@ class TestHyperbolicity:
     def test_cert_invariants(self):
         with pytest.raises(ValueError):
             HyperbolicCert(0, 0, 0)
+        with pytest.raises(ValueError, match="h must be >= 0"):
+            HyperbolicCert(1, 1, -1)
 
     def test_random_generator_always_certifies(self):
         rng = random.Random(7)
@@ -122,6 +131,19 @@ class TestSufficientCondition:
                 continue  # generator made a branch outside the lemma's preconditions
             if ok:
                 certify_hyperbolic(f)  # raises unless hyperbolic
+
+    @pytest.mark.parametrize(
+        "f,witness,match",
+        [
+            (one_dim(P2, Fraction(1, 2), 1), (Fraction(2, 3),),
+             r"precondition ord\(p_k\) >= 0 violated"),
+            (one_dim(P2, 2, 1), (Fraction(1, 3),), r"witness must lie in \(p\*Z_p\)\^m"),
+        ],
+        ids=["p_k", "witness"],
+    )
+    def test_each_precondition_names_itself(self, f, witness, match):
+        with pytest.raises(ValueError, match=match):
+            sufficient_hyperbolic(f, witness)
 
     def test_precondition_violation_raises(self):
         f = one_dim(P2, 1, 0)
@@ -384,3 +406,31 @@ class TestSerialization:
         assert (obj["m"], obj["i"], obj["sigma"]) == (f.m, f.i, list(f.sigma))
         assert [parse_rational(v) for v in obj["p"]] == list(f.pvec)
         assert [parse_rational(v) for v in obj["q"]] == list(f.qvec)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            ((0, 1, (), (), ()), "need m >= 1 and 1 <= i <= m"),
+            ((1, 2, (1,), (2,), (1,)), "need m >= 1 and 1 <= i <= m"),
+            ((2, 1, (1, 1), (2, 2), (1, 1)), "sigma must be a permutation of 1..m"),
+            ((1, 1, (1,), (2, 2), (1,)), "pvec and qvec must have length m"),
+            ((1, 1, (1,), (0,), (1,)), "pvec entries must be nonzero"),
+        ],
+        ids=["m-0", "i-above-m", "sigma", "pvec-length", "zero-p"],
+    )
+    def test_lft_params(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            LftParams(P2, *args)
+
+    def test_wrong_dimension(self):
+        f = one_dim(P2, 2, 1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_forward(f, (Fraction(2), Fraction(4)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply_inverse(f, (Fraction(2), Fraction(4)))
+
+    def test_forward_at_a_zero_pivot(self):
+        with pytest.raises(DivisionByZeroAtPrecision, match="pivot coordinate is zero"):
+            apply_forward(one_dim(P2, 2, 1), (Fraction(0),))

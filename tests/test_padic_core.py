@@ -23,8 +23,6 @@ from padic_cf import (
     invert_ball,
     measure,
     norm,
-    parse_approx,
-    parse_ball,
     parse_rational,
     valuation,
 )
@@ -431,17 +429,42 @@ class TestSerialization:
         a = PadicApprox.from_rational(Fraction(2, 3), P2, 6)
         # 2/3 = 2 * (1/3) and 1/3 = 11 mod 32, binary 11011 read low-to-high
         assert format_approx(a) == "p=2;ord=1;digits=1,1,0,1,0;prec=6"
-        assert parse_approx(format_approx(a)) == a
 
     def test_approx_zero_states(self):
         z = PadicApprox.exact_zero(P2)
-        assert parse_approx(format_approx(z)).is_exact_zero
+        assert format_approx(z) == "p=2;ord=inf;digits=;prec=inf"
         zp = PadicApprox(P2, 5, 0, 5)
-        s = format_approx(zp)
-        back = parse_approx(s)
-        assert back.is_zero_at_precision and back.abs_prec == 5
+        assert zp.is_zero_at_precision and zp.abs_prec == 5
+        assert format_approx(zp) == "p=2;ord=?;digits=;prec=5"
 
     def test_ball_round_trip(self):
         b = Ball(P3, Fraction(3), 2)
         assert str(b) == "3/1~2"
-        assert parse_ball("3/1~2", P3) == b
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            (lambda: Ball(P2, Fraction(2), 0), ValueError, "ball level must be >= 1"),
+            (lambda: ProductCylinder(()), ValueError, "cylinder needs at least one ball"),
+            (lambda: ProductCylinder((Ball(P2, Fraction(2), 1), Ball(P3, Fraction(3), 1))),
+             ValueError, "all balls must share one prime"),
+            (lambda: ProductCylinder((Ball(P2, Fraction(2), 1),)).contains(
+                (Fraction(2), Fraction(4))), ValueError, "dimension mismatch"),
+            (lambda: measure(Fraction(1)), TypeError, "cannot measure Fraction"),
+            (lambda: invert_ball(Ball(P2, Fraction(1), 3), Fraction(1)), ValueError,
+             r"ball must be contained in p\*Z_p"),
+            (lambda: haar_sample(P2, 0, 1), ValueError, "need at least one digit"),
+            (lambda: digit_expand(Fraction(1), P2, 3, 2), ValueError, "stop must be >= start"),
+            (lambda: PadicApprox.from_rational(Fraction(2), P2, 5)
+             + PadicApprox.from_rational(Fraction(3), P3, 5),
+             ValueError, "operands must share the same prime"),
+        ],
+        ids=["ball-level-0", "empty-cylinder", "mixed-primes", "contains-dimension",
+             "measure-non-cylinder", "invert-outside-pZp", "sample-no-digits",
+             "expand-stop-before-start", "sum-two-primes"],
+    )
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
