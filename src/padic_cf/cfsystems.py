@@ -311,7 +311,8 @@ def step_core(spec: SystemSpec, x0: int, coords):
     Precision follows PadicApprox (P - 2*ord on inversion, min on products,
     +r on shifts), so this raises exactly where PadicApprox arithmetic would,
     and an inf precision passes through min: a term of exact coordinates over
-    an exact pivot stays exact.
+    an exact pivot stays exact.  A pivot of valuation below 1 raises
+    ValueError.
     """
     p = spec.ctx.p
     point = []
@@ -325,6 +326,8 @@ def step_core(spec: SystemSpec, x0: int, coords):
         point.append((lo, unit, prec))
     i = _pivot(spec, point)
     d, u_i, prec_i = point[i - 1]
+    if d < 1:
+        raise ValueError("pivot coordinate must lie in p*Z_p")
     inv = pow(u_i, -1, p ** (d + 1))
     inv_prec = prec_i - 2 * d
     ell = spec.exponent_ell
@@ -578,7 +581,7 @@ def enumerate_branches(spec: SystemSpec, iota_bound) -> list[tuple]:
     entries = []
     for d in _enumerate(spec, iota_bound):
         f = branch_lft(spec, d)
-        entries.append((iota(f), d, f))
+        entries.append((iota(f).numerator, d, f))  # iota is the integer p**e
     entries.sort(
         key=lambda e: (e[0], e[1].pexp, tuple((q.numerator, q.denominator) for q in e[1].qvec))
     )

@@ -270,6 +270,17 @@ def _parse_cylinder(spec: SystemSpec, text: str, flag: str):
         raise CliError(f"argument {flag}: {exc}")
 
 
+def _require_one_dim(spec: SystemSpec, args, refusal: str):
+    """Refuse a multi-dimensional family; at --m 1 it is Ruban's map."""
+    if spec.kind != cfsystems.ONE_DIM:
+        if spec.m == 1:
+            raise CliError(
+                f"argument --m: --check {args.check} runs on one-dimensional systems only; "
+                f"--system {args.system} --m 1 is the map of --system ruban, use that"
+            )
+        raise CliError(f"argument --system: {refusal}")
+
+
 def cmd_stats(args, out) -> int:
     spec = _build_spec(args)
     p = spec.ctx.p
@@ -289,10 +300,7 @@ def cmd_stats(args, out) -> int:
         }
 
     if args.check == "digit-means":
-        if spec.kind != cfsystems.ONE_DIM:
-            raise CliError(
-                "argument --system: digit observables are defined for one-dimensional systems"
-            )
+        _require_one_dim(spec, args, "digit observables are defined for one-dimensional systems")
         if args.precision is not None and args.precision < 4 * args.steps:
             print(
                 f"warning: precision {args.precision} below 4*steps = {4 * args.steps}",
@@ -321,8 +329,7 @@ def cmd_stats(args, out) -> int:
         theo = ergodics.iota_sum(spec, bound)
         rows.append(row("iota-sum", total, 0.0, theo, total == theo))
     elif args.check == "mixing":
-        if spec.kind != cfsystems.ONE_DIM:
-            raise CliError("argument --system: mixing check expects a one-dimensional system")
+        _require_one_dim(spec, args, "mixing check expects a one-dimensional system")
         for flag, word in (("--wordA", args.wordA), ("--wordB", args.wordB)):
             if not word:
                 raise CliError(f"argument {flag}: required by --check mixing")

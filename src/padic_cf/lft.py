@@ -281,6 +281,21 @@ def _reduced(f: LftParams) -> tuple:
     return red
 
 
+def _cylinder_ints(c: ProductCylinder) -> tuple:
+    """(p, uniform level, integer ball centres) of c for preimage_cylinder,
+    read on its first call and kept on c like a branch's _reduced; nothing is
+    kept when a check raises, so a bad cylinder raises on every call."""
+    ints = getattr(c, "_ints", None)
+    if ints is None:
+        n = c.uniform_level()
+        if any(b._clo < 1 for b in c.balls):
+            raise ValueError("cylinder must be contained in (p*Z_p)^m")
+        p = c.ctx.p
+        ints = (p, n, [b._cunit * p**b._clo for b in c.balls])
+        object.__setattr__(c, "_ints", ints)
+    return ints
+
+
 def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]:
     """Exact decomposition of the inverse image of a uniform-level cylinder.
 
@@ -289,17 +304,15 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
     centre x * w_k, w_k = (c_t + q_t) / p_t, at coordinate k != i,
     t = sigma^-1(k): all p-integral, so built as (a_k + b_k * y) mod p**level
     from _reduced(f)'s integers, with one modular inverse per coordinate.
+    The pieces' balls are in digit form, with no Fraction centre built.
     """
     s, num, lin, const, e, count, parts = _reduced(f)
     if c.m != f.m:
         raise ValueError("dimension mismatch")
     ctx = f.ctx
-    p = ctx.p
-    n = c.uniform_level()
-    balls = c.balls
-    if any(b._clo < 1 for b in balls):
-        raise ValueError("cylinder must be contained in (p*Z_p)^m")
-    centres = [b._cunit * p**b._clo for b in balls]
+    p, n, centres = _cylinder_ints(c)
+    if p != ctx.p:
+        raise ValueError("cylinder and branch must share one prime")
     unit = lin * centres[s] + const  # base = num / unit, a p-adic unit
     pe = p ** (n + e)
     coords = []
@@ -309,10 +322,9 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
         w = lin_t * centres[t] + const_t  # w_k = w / (pp * r)
         inv = pow(unit * r, -1, mod)
         coords.append((level, mod, num * w // pp * inv % mod, pe * w // pp * unit * inv % mod))
+    piece, ball = ProductCylinder._of, Ball._from_residue
     return [
-        ProductCylinder(
-            tuple(Ball._from_residue(ctx, (a + b * y) % mod, level) for level, mod, a, b in coords)
-        )
+        piece(tuple([ball(ctx, (a + b * y) % mod, level) for level, mod, a, b in coords]))
         for y in range(count)
     ]
 

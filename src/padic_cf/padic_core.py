@@ -3,16 +3,18 @@
 Exact quantities (digits, convergents, measures) live in `fractions.Fraction`;
 orbit points of the sampling harness live in `PadicApprox`, a truncated p-adic
 number with a sound absolute-precision bound (the cylinder Monte Carlo carries
-its integers (ord, unit, abs_prec) without the object).  All values are
-immutable after construction.
+its integers (ord, unit, abs_prec) without the object).  A `Ball` keeps its
+centre in digit form, p**ord * unit, and builds the `Fraction` centre only on
+demand.  All values are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DivisionByZeroAtPrecision, PrecisionExhausted
 
@@ -94,7 +96,7 @@ def valuation(x, ctx: PrimeCtx):
 
     An approximation answers through PadicApprox.valuation.
     """
-    if not isinstance(x, Fraction):
+    if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     if x == 0:
         return INF
@@ -428,39 +430,53 @@ class PadicApprox:
 # -- balls and cylinders ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ball:
-    """The set center + p**level * Z_p, with the center reduced mod p**level."""
+    """The set center + p**level * Z_p in digit form: the centre reduced mod
+    p**level is p**_clo * _cunit, _cunit prime to p (or _clo = level,
+    _cunit = 0).  Equality and hash read this canonical form; the Fraction
+    `center` is built on its first read and kept."""
 
-    ctx: PrimeCtx
-    center: Fraction
-    level: int
-
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, ctx: PrimeCtx, center, level: int):
+        if level < 1:
             raise ValueError("ball level must be >= 1")
-        c = as_fraction(self.center)
-        lo = min(valuation(c, self.ctx), self.level)
-        self._set_digits(lo, _unit_mod(c, self.ctx.p, lo, self.level - lo))
+        c = center if isinstance(center, (int, Fraction)) else Fraction(center)
+        lo = min(valuation(c, ctx), level)
+        unit = _unit_mod(c, ctx.p, lo, level - lo)
+        object.__setattr__(self, "__dict__", {"ctx": ctx, "level": level, "_clo": lo, "_cunit": unit})
 
     @classmethod
     def _from_residue(cls, ctx: PrimeCtx, z: int, level: int) -> "Ball":
-        """Ball(ctx, Fraction(z), level) for an integer 0 <= z < p**level."""
-        ball = cls.__new__(cls)
-        object.__setattr__(ball, "ctx", ctx)
-        object.__setattr__(ball, "level", level)
+        """Ball(ctx, z, level) for an integer 0 <= z < p**level."""
+        ball = object.__new__(cls)
         lo = _intval(z, ctx.p) if z else level
-        ball._set_digits(lo, z // ctx.p**lo)
+        unit = z // ctx.p**lo
+        object.__setattr__(ball, "__dict__", {"ctx": ctx, "level": level, "_clo": lo, "_cunit": unit})
         return ball
 
-    def _set_digits(self, lo: int, unit: int):
-        """Set the canonical centre p**lo * unit and its digit form (unit
-        prime to p, or lo = level and unit = 0) for contains_digits."""
-        p = self.ctx.p
-        center = Fraction(unit * p**lo) if lo >= 0 else Fraction(unit, p**-lo)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "_clo", lo)
-        object.__setattr__(self, "_cunit", unit)
+    @cached_property
+    def center(self) -> Fraction:
+        lo, p = self._clo, self.ctx.p
+        return Fraction(self._cunit * p**lo) if lo >= 0 else Fraction(self._cunit, p**-lo)
+
+    def _key(self) -> tuple:
+        return self.ctx.p, self.level, self._clo, self._cunit
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"Ball(ctx={self.ctx!r}, center={self.center!r}, level={self.level!r})"
 
     def contains(self, x) -> bool:
         """Exact membership for rationals; at-precision membership for approximations."""
@@ -517,6 +533,14 @@ class ProductCylinder:
         if any(b.ctx.p != p for b in balls):
             raise ValueError("all balls must share one prime")
         object.__setattr__(self, "balls", balls)
+
+    @classmethod
+    def _of(cls, balls: tuple) -> "ProductCylinder":
+        """ProductCylinder(balls) for a non-empty tuple of balls known to
+        share one prime, unchecked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "balls", balls)
+        return c
 
     @property
     def ctx(self) -> PrimeCtx:

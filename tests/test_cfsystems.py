@@ -42,6 +42,7 @@ from padic_cf.cfsystems import (
     digit_from_obj,
     digit_to_obj,
     expansion_records,
+    step_core,
 )
 
 P2 = PrimeCtx(2)
@@ -620,3 +621,26 @@ class TestRefusals:
         x = PadicApprox.from_rational(Fraction(3), P3, 5)
         with pytest.raises(ValueError, match="coordinate prime differs from system prime"):
             step(SystemSpec.schneider(P2), x)
+
+    @pytest.mark.parametrize("ord_", [-2, -1, 0])
+    @pytest.mark.parametrize(
+        "make",
+        [SystemSpec.schneider, lambda ctx: SystemSpec.jacobi_perron(ctx, 2),
+         lambda ctx: SystemSpec.brun(ctx, 2)],
+        ids=["schneider", "jp-m2", "brun-m2"],
+    )
+    def test_step_core_on_a_pivot_outside_pZp(self, make, ord_):
+        # raised before the pivot inverse: at ord -2 that inverse was a
+        # TypeError, at ord -1 and 0 the step went on to a digit that
+        # pivot_valuation rejects; the unit p*(p+1) normalises to ord_ first
+        for ctx in (P2, P3, PrimeCtx(5)):
+            spec = make(ctx)
+            rest = [(2, 1, 30)] * (spec.m - 1)
+            pivots = [(ord_, 1, 30), (ord_, 1, INF), (ord_ - 1, ctx.p * (ctx.p + 1), 30)]
+            points = [[x, *rest] for x in pivots]
+            if spec.kind == BRUN:  # the least valuation, here the second coordinate
+                points.append([(3, 1, 30), (ord_, 1, 30)])
+            for coords in points:
+                with pytest.raises(ValueError, match=r"pivot coordinate must lie in p\*Z_p"):
+                    step_core(spec, 1, coords)
+            step_core(spec, 1, [(1, 1, 30), *rest])

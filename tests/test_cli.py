@@ -697,6 +697,18 @@ class TestOneCoordinateSystems:
         assert len(rows) == len(digits.splitlines()) - 1
         assert all(int(r[2]) >= int(r[0]) + 2 for r in rows)
 
+    @pytest.mark.parametrize("system", ["jacobi-perron", "brun"])
+    @pytest.mark.parametrize(
+        "check", [["digit-means"], ["mixing", "--wordA", "(1,1)", "--wordB", "(2,1)"]],
+        ids=["digit-means", "mixing"],
+    )
+    def test_one_dim_checks_point_to_ruban(self, capsys, system, check):
+        code, out = run_cli(["stats", "--p", "2", "--system", system, "--m", "1", "--check", *check])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert f"argument --m: --check {check[0]} runs on one-dimensional systems only" in err
+        assert f"--system {system} --m 1 is the map of --system ruban, use that" in err
+
 
 class TestParserReuse:
     def test_calls_in_one_process_match_fresh_calls(self):

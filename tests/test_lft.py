@@ -311,6 +311,43 @@ class TestPreimageCylinder:
             random_hyperbolic(random.Random(0), P2, 2), good
         )
 
+    def test_bad_cylinder_raises_on_every_call(self):
+        # a cylinder keeps its integers only once its checks pass
+        rng = random.Random(2)
+        for c, message in [
+            (ProductCylinder((Ball(P2, 2, 2), Ball(P2, 1, 2))), r"contained in \(p\*Z_p\)\^m"),
+            (ProductCylinder((Ball(P2, 2, 2), Ball(P2, 4, 3))), "not uniform"),
+            (ProductCylinder((Ball(P3, 3, 2), Ball(P3, 6, 2))), "share one prime"),
+        ]:
+            f = random_hyperbolic(rng, P2, 2)
+            for g in (f, f, random_hyperbolic(rng, P2, 2)):
+                with pytest.raises(ValueError, match=message):
+                    preimage_cylinder(g, c)
+
+    def test_pieces_are_digit_form_cylinders(self):
+        # the pieces equal the cylinders the public constructors build, and
+        # no piece has built a Fraction centre
+        rng = random.Random(4)
+        for ctx in (P2, P3, P5):
+            p = ctx.p
+            for m in (1, 2, 3):
+                f = random_hyperbolic(rng, ctx, m)
+                n = rng.randint(1, 4)
+                c = ProductCylinder(
+                    tuple(Ball(ctx, p * rng.randrange(p ** (n - 1)), n) for _ in range(m))
+                )
+                pieces = preimage_cylinder(f, c)
+                assert all("center" not in vars(b) for pc in pieces for b in pc.balls)
+                rebuilt = [
+                    ProductCylinder([Ball(ctx, b.center, b.level) for b in pc.balls])
+                    for pc in pieces
+                ]
+                assert pieces == rebuilt and list(map(hash, pieces)) == list(map(hash, rebuilt))
+                assert all(type(pc.balls) is tuple for pc in pieces)
+                assert [str(b) for pc in pieces for b in pc.balls] == [
+                    str(b) for pc in rebuilt for b in pc.balls
+                ]
+
 
 class TestCertificatePerBranch:
     """A branch is certified once, on its first iota, apply_inverse or

@@ -1,7 +1,11 @@
 """Core arithmetic: valuations, digits, truncated numbers, balls, sampling."""
 
+import copy
+import itertools
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -312,13 +316,18 @@ class TestBallsAndMeasure:
         for ctx in (P2, P3, P5):
             p = ctx.p
             for level in range(1, 5):
+                # distinct residues are distinct balls
+                balls = [Ball._from_residue(ctx, z, level) for z in range(p**level)]
+                assert len(set(balls)) == p**level
+                assert all(a != b for a, b in itertools.combinations(balls, 2))
                 for z in range(p**level):
                     got = Ball._from_residue(ctx, z, level)
                     want = Ball(ctx, Fraction(z), level)
                     assert got == want and hash(got) == hash(want)
                     assert str(got) == str(want)
                     assert (got._clo, got._cunit) == (want._clo, want._cunit)
-                    assert type(got.center) is Fraction
+                    assert type(got.center) is Fraction and got.center == want.center
+                    assert Ball(ctx, z, level) == want
                     assert got.contains_digits(INF, 0, INF) is want.contains_digits(INF, 0, INF)
                     for _ in range(3):
                         lo, prec = rng.randint(0, 3), rng.randint(0, 6)
@@ -330,6 +339,32 @@ class TestBallsAndMeasure:
                             except PrecisionExhausted:
                                 outcomes.append("exhausted")
                         assert outcomes[0] == outcomes[1]
+
+    def test_copies_keep_the_ball(self):
+        # the centre is built on its first read; a copy made before or after
+        # that read equals the ball, and carries the centre only if it was read
+        balls = [
+            Ball(P3, Fraction(7, 2), 3),
+            Ball(P2, Fraction(-5, 4), 2),
+            Ball(P5, 0, 2),
+            Ball._from_residue(P5, 10, 3),
+        ]
+        for ball in balls:
+            for read in (False, True):
+                if read:
+                    ball.center
+                for twin in (copy.copy(ball), copy.deepcopy(ball), pickle.loads(pickle.dumps(ball))):
+                    assert ("center" in vars(twin)) is read
+                    assert twin == ball and hash(twin) == hash(ball)
+                    assert twin.center == ball.center and str(twin) == str(ball)
+
+    def test_ball_is_frozen_and_keeps_its_repr(self):
+        b = Ball(P2, 10, 3)
+        assert repr(b) == "Ball(ctx=PrimeCtx(p=2), center=Fraction(2, 1), level=3)"
+        for act in (lambda: setattr(b, "level", 4), lambda: delattr(b, "ctx")):
+            with pytest.raises(FrozenInstanceError):
+                act()
+        assert b != Ball(P2, 2, 4) and b != Ball(P3, 2, 3) and b != "2/1~3"
 
     def test_measure_examples(self):
         assert measure(Ball(P2, Fraction(0), 1)) == 1
