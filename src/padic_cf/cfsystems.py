@@ -42,6 +42,7 @@ from .padic_core import (
     INF,
     PadicApprox,
     PrimeCtx,
+    _fraction,
     _inv_unit,
     as_fraction,
     format_rational,
@@ -401,7 +402,7 @@ def step(spec: SystemSpec, x):
     inv = _inv_unit(x0, p, n) if x0 != 1 else 1
     ys = [
         PadicApprox(ctx, lo, unit * inv, prec) if prec != INF
-        else Fraction(unit * p**lo, x0) if unit else Fraction(0)
+        else _fraction(p, lo, unit, x0) if unit else Fraction(0)
         for lo, unit, prec in nxt
     ]
     return _digit(spec, i, pexp, entries), (ys[0] if scalar else tuple(ys))
@@ -517,14 +518,17 @@ def convergents(spec: SystemSpec, digits):
         yield vec[0] if spec.kind == ONE_DIM else vec
 
 
-def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, int, int]]:
-    """(d1, r_m, u, base, max_r) for each pivot depth d1 = 1, 2, ... with a
+def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, int, int, int]]:
+    """(d1, r_m, u, base, r, cls) for each pivot depth d1 = 1, 2, ... with a
     branch of iota <= iota_bound.
 
     The pivot entry splits as (r_m, u) = _depth_split(d1); a branch whose
-    non-pivot exponents sum to R has iota p**(base - R), and each non-pivot
-    exponent is at most max_r.  The depths stop at the first whose smallest
-    iota exceeds the bound; a one-dimensional system is the case m = 1.
+    non-pivot exponents sum to R has iota p**(base - R).  A non-pivot entry is
+    zero or at a depth 0 .. d1 - 1, so (r, cls) = _depth_split(d1 - 1) is the
+    one class it gains at d1 and r its largest exponent: a table of non-pivot
+    options carried across the depths grows by that class alone.  The depths
+    stop at the first whose smallest iota exceeds the bound (two _depth_split
+    calls per depth, that one included); a one-dimensional system is m = 1.
     """
     p = spec.ctx.p
     if iota_bound < p:
@@ -537,10 +541,10 @@ def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, in
     while True:
         r_m, u = _depth_split(d1, spec.ell)
         base = m * r_m + (m + 1) * u
-        max_r = _depth_split(d1 - 1, spec.ell)[0]
-        if p ** (base - (m - 1) * max_r) > iota_bound:
+        r, cls = _depth_split(d1 - 1, spec.ell)
+        if p ** (base - (m - 1) * r) > iota_bound:
             return out
-        out.append((d1, r_m, u, base, max_r))
+        out.append((d1, r_m, u, base, r, cls))
         d1 += 1
 
 
@@ -548,14 +552,12 @@ def _enumerate(spec: SystemSpec, iota_bound) -> list:
     """Digits of every branch with iota <= iota_bound, unsorted."""
     p = spec.ctx.p
     out = []
-    for d1, r_m, u, base, max_r in _pivot_classes(spec, iota_bound):
+    options = [(0, Fraction(0))]  # a non-pivot entry: zero, or at depth 0 .. d1-1
+    for _, r_m, u, base, max_r, cls in _pivot_classes(spec, iota_bound):
         if spec.kind == ONE_DIM:
             out += [Digit1D(r_m, q) for q in digit_values(p, u)]
             continue
-        options = [(0, Fraction(0))]  # a non-pivot entry: zero, or at depth 0 .. d1-1
-        for delta in range(d1):
-            r, cls = _depth_split(delta, spec.ell)
-            options += [(r, q) for q in digit_values(p, cls)]
+        options += [(max_r, q) for q in digit_values(p, cls)]
         for q_m in digit_values(p, u):
             partial = [((), (), base)]
             for left in range(spec.m - 2, -1, -1):  # slots left after this one
@@ -594,22 +596,21 @@ def branch_counts(spec: SystemSpec, iota_bound) -> dict[int, int]:
 
     A class-n digit value has (p-1)*p**n choices, and the non-pivot
     coordinates choose independently, so their option counts, grouped by
-    p-exponent, multiply.  The cut p**e <= iota_bound is applied per exponent,
-    so a bound that cuts a pivot class partway is still exact.
+    p-exponent, multiply.  The option table is carried across pivot depths,
+    one class added per depth.  The cut p**e <= iota_bound is applied per
+    exponent, so a bound that cuts a pivot class partway is still exact.
     """
     p = spec.ctx.p
     counts: Counter[int] = Counter()
-    for d1, _, u, base, _ in _pivot_classes(spec, iota_bound):
-        slot = Counter({0: 1})  # the zero entry
-        for delta in range(d1):
-            r, cls = _depth_split(delta, spec.ell)
-            slot[r] += (p - 1) * p**cls
+    slot = Counter({0: 1})  # the zero entry
+    for _, _, u, base, r, cls in _pivot_classes(spec, iota_bound):
+        slot[r] += (p - 1) * p**cls
         by_sum = Counter({0: (p - 1) * p**u})  # sum of non-pivot exponents -> branches
         for _ in range(spec.m - 1):
             nxt: Counter[int] = Counter()
             for total, n in by_sum.items():
-                for r, c in slot.items():
-                    nxt[total + r] += n * c
+                for r_k, c in slot.items():
+                    nxt[total + r_k] += n * c
             by_sum = nxt
         for total, n in by_sum.items():
             if p ** (base - total) <= iota_bound:

@@ -91,6 +91,12 @@ def cylinder_measure(c: SymbolicCylinder) -> Fraction:
     return out
 
 
+def _power_sum(terms: dict[int, int], q: int) -> Fraction:
+    """Sum of n / q**e over terms {e: n}, as one Fraction over q**max(e)."""
+    top = max(terms, default=0)
+    return Fraction(sum(n * q ** (top - e) for e, n in terms.items()), q**top)
+
+
 def iota_sum(spec: SystemSpec, iota_bound) -> Fraction:
     """Sum of 1/iota over all branches with iota <= iota_bound.
 
@@ -100,10 +106,13 @@ def iota_sum(spec: SystemSpec, iota_bound) -> Fraction:
     (p-1)/p**d, and the complement is the exact measure of the omitted
     branches.
     """
-    p = spec.ctx.p
-    counts = branch_counts(spec, iota_bound)
-    top = max(counts, default=0)
-    return Fraction(sum(n * p ** (top - e) for e, n in counts.items()), p**top)
+    return _power_sum(branch_counts(spec, iota_bound), spec.ctx.p)
+
+
+def _require_half(done: int, total: int, what: str) -> None:
+    """InsufficientData when fewer than half of total completed: 2*done < total."""
+    if 2 * done < total:
+        raise InsufficientData(f"only {done} of {total} {what} completed")
 
 
 def theoretical_digit_means(p: int, ell) -> tuple[Fraction, Fraction]:
@@ -181,10 +190,10 @@ def digit_mean_reports(
 
     Every sample is expanded for n_steps.  An orbit that stops early keeps
     the digits it produced and counts in n_dropped, so the means are
-    conditioned on the completed digits; fewer than half raises
-    InsufficientData.  Shards sum w and w*w of each digit a = w/p**c as
-    integers per class c; the caller builds each exact total once over
-    p**max(c), and floats appear only in the reports.
+    conditioned on the completed digits; 2*done < n_samples*n_steps raises
+    InsufficientData (_require_half).  Shards sum w and w*w of each digit
+    a = w/p**c as integers per class c; the caller builds each exact total
+    once with _power_sum, and floats appear only in the reports.
     """
     if spec.kind != ONE_DIM:
         raise ValueError("digit observables are defined for one-dimensional systems")
@@ -224,23 +233,15 @@ def digit_mean_reports(
 
     results = _run_sharded(run_shard, n_samples, seed, chunk=250, threads=threads)
     count = sum(r[4] for r in results)
-    if count < (n_samples * n_steps) // 2:
-        raise InsufficientData(
-            f"only {count} of {n_samples * n_steps} digit observations completed"
-        )
+    _require_half(count, n_samples * n_steps, "digit observations")
     sum_w, sum_w_sq = Counter(), Counter()
     for r in results:
         sum_w.update(r[0])
         sum_w_sq.update(r[1])
-    k = max(sum_w, default=0)
     theo_a, theo_b = theoretical_digit_means(p, spec.ell)
     reports = []
     for total, total_sq, theo in (
-        (
-            Fraction(sum(s * p ** (k - c) for c, s in sum_w.items()), p**k),
-            Fraction(sum(s * p ** (2 * (k - c)) for c, s in sum_w_sq.items()), p ** (2 * k)),
-            theo_a,
-        ),
+        (_power_sum(sum_w, p), _power_sum(sum_w_sq, p * p), theo_a),
         (Fraction(sum(r[2] for r in results)), Fraction(sum(r[3] for r in results)), theo_b),
     ):
         mean = total / count
@@ -272,10 +273,10 @@ def _cylinder_mc(
     Samples are haar_sample_vector's draws at max(c.levels) + 48 digits, kept
     as step_core triples over x0 = 1; a preimage sample is stepped once, and
     its image is tested with ProductCylinder.contains_digits over the step's
-    denominator x0'.  A
-    sample whose step or membership test raises is dropped, so the estimate
-    is conditioned on the completed samples: n_samples is the count done,
-    n_dropped the rest, and fewer than half done raises InsufficientData.
+    denominator x0'.  A sample whose step or membership test raises is
+    dropped, so the estimate is conditioned on the completed samples:
+    n_samples is the count done, n_dropped the rest, and 2*done < n_samples
+    raises InsufficientData (_require_half).
     """
     if c.m != spec.m:
         raise ValueError("cylinder dimension mismatch")
@@ -304,8 +305,7 @@ def _cylinder_mc(
     results = _run_sharded(run_shard, n_samples, seed, chunk=10_000, threads=threads)
     hits = sum(r[0] for r in results)
     done = sum(r[1] for r in results)
-    if done < n_samples // 2:
-        raise InsufficientData(f"only {done} of {n_samples} samples completed")
+    _require_half(done, n_samples, "samples")
     est = Fraction(hits, done)
     stderr = math.sqrt(float(est * (1 - est)) / done)
     return StatReport(
@@ -356,7 +356,9 @@ def mixing_exact(
     length n - len(B), so the correlation factorises as
     measure(B) * S**(n - len(B)) * measure(A) with S the branch measure sum.
     With the complete branch family S = 1 and the identity is exact; with a
-    truncated family the defect is bounded by the reported tail.
+    truncated family the defect is bounded by the reported tail.  lhs comes
+    from the same factorisation as rhs, not from the forward map, so this
+    check (stats --check mixing) cannot fail on a wrong step.
     """
     if A.system != B.system:
         raise ValueError("cylinders must share one system")

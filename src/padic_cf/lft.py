@@ -22,6 +22,7 @@ from .padic_core import (
     PadicApprox,
     PrimeCtx,
     ProductCylinder,
+    _fraction,
     _intval,
     as_fraction,
     format_rational,
@@ -357,7 +358,7 @@ def random_hyperbolic(rng: random.Random, ctx: PrimeCtx, m: int) -> LftParams:
     pvec = [None] * m
     qvec = [None] * m
     pvec[s - 1] = Fraction(p**a_s) * unit()
-    qvec[s - 1] = (Fraction(p**b_s) if b_s >= 0 else Fraction(1, p**-b_s)) * unit()
+    qvec[s - 1] = _fraction(p, b_s, 1) * unit()
     for k in range(1, m + 1):
         if k == s:
             continue
@@ -376,9 +377,7 @@ def random_hyperbolic(rng: random.Random, ctx: PrimeCtx, m: int) -> LftParams:
             a_k = rng.randint(0, max(depth - 1 + b_k, 0))
             if a_k - b_k >= depth:
                 b_k = a_k - depth + 1
-            qvec[k - 1] = (
-                Fraction(p**b_k) if b_k >= 0 else Fraction(1, p**-b_k)
-            ) * unit()
+            qvec[k - 1] = _fraction(p, b_k, 1) * unit()
         pvec[k - 1] = Fraction(p**a_k) * unit()
     f = LftParams(ctx, m, i, tuple(sigma), tuple(pvec), tuple(qvec))
     certify_hyperbolic(f)

@@ -86,6 +86,11 @@ def _inv_unit(u: int, p: int, n: int) -> int:
     return v
 
 
+def _fraction(p: int, lo: int, unit: int, den: int = 1) -> Fraction:
+    """p**lo * unit / den, the exact value of a digit form."""
+    return Fraction(unit * p**lo, den) if lo >= 0 else Fraction(unit, den * p**-lo)
+
+
 def as_fraction(x) -> Fraction:
     """x as a Fraction, without copying one that already is."""
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -108,7 +113,7 @@ def norm(x, ctx: PrimeCtx) -> Fraction:
     v = valuation(x, ctx)
     if v == INF:
         return Fraction(0)
-    return Fraction(1, ctx.p**v) if v >= 0 else Fraction(ctx.p ** (-v))
+    return _fraction(ctx.p, -v, 1)
 
 
 def vector_norm(xs, ctx: PrimeCtx) -> Fraction:
@@ -257,14 +262,7 @@ class PadicApprox:
 
     def representative(self) -> Fraction:
         """The exact rational with the same digits below abs_prec and none above."""
-        if self._unit == 0:
-            return Fraction(0)
-        lo = self._lo
-        return (
-            Fraction(self._unit * self.ctx.p**lo)
-            if lo >= 0
-            else Fraction(self._unit, self.ctx.p**-lo)
-        )
+        return _fraction(self.ctx.p, self._lo, self._unit) if self._unit else Fraction(0)
 
     def _unit_shifted(self, lo: int, ndigits: int) -> int:
         """Digits at positions lo .. lo+ndigits-1, packed as one integer."""
@@ -294,8 +292,7 @@ class PadicApprox:
         p = self.ctx.p
         cut = 1 - lo
         u0 = self._unit % p**cut
-        ipart = Fraction(u0 * p**lo) if lo >= 0 else Fraction(u0, p**-lo)
-        return ipart, PadicApprox(self.ctx, 1, self._unit // p**cut, self._prec)
+        return _fraction(p, lo, u0), PadicApprox(self.ctx, 1, self._unit // p**cut, self._prec)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -455,8 +452,7 @@ class Ball:
 
     @cached_property
     def center(self) -> Fraction:
-        lo, p = self._clo, self.ctx.p
-        return Fraction(self._cunit * p**lo) if lo >= 0 else Fraction(self._cunit, p**-lo)
+        return _fraction(self.ctx.p, self._clo, self._cunit)
 
     def _key(self) -> tuple:
         return self.ctx.p, self.level, self._clo, self._cunit

@@ -249,6 +249,17 @@ class TestStats:
         assert code == 2 and out == ""
         assert "not enumerated" in capsys.readouterr().err
 
+    def test_digit_means_fewer_than_half_completed(self, capsys):
+        # the one sample's single step runs out of digits: 0 of 1 completed
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "digit-means",
+             "--samples", "1", "--steps", "1", "--seed", "31"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err == "error: only 0 of 1 digit observations completed\n"
+        assert "Fraction(" not in err
+
     def test_mixing_golden(self):
         code, out = run_cli(
             [

@@ -130,6 +130,36 @@ class TestIotaSum:
             assert total == sum((1 / iota(f) for _, f in enumerate_branches(spec, bound)), Fraction(0))
             assert 1 - Fraction(1, p**D) <= total < 1
 
+    def test_ruban_p2_closed_form_at_large_bound(self):
+        # pivot depth d has 2**d class-d values of iota 2**(2d)
+        s = SystemSpec.ruban(P2)
+        assert branch_counts(s, 2**2000) == {2 * d: 2**d for d in range(1, 1001)}
+        assert iota_sum(s, 2**2000) == 1 - Fraction(1, 2**1000)
+
+    @pytest.mark.parametrize(
+        "spec,bound",
+        [(SystemSpec.ruban(P2), 2**400), (SystemSpec.multi_dim(P2, 1, 2), 2**60)],
+        ids=["ruban-p2", "tl1-p2-m2"],
+    )
+    def test_branch_counts_carries_its_table(self, monkeypatch, spec, bound):
+        # the non-pivot option table grows by one class per pivot depth, so
+        # _depth_split runs only in _pivot_classes: twice per depth, the
+        # stopping depth included
+        from padic_cf import cfsystems
+
+        n_classes = len(cfsystems._pivot_classes(spec, bound))
+        calls = []
+        depth_split = cfsystems._depth_split
+
+        def counted(*args):
+            calls.append(args)
+            return depth_split(*args)
+
+        monkeypatch.setattr(cfsystems, "_depth_split", counted)
+        counts = branch_counts(spec, bound)
+        assert n_classes > 10 and counts
+        assert len(calls) <= 2 * (n_classes + 1)
+
     def test_brun_and_small_bound_rejected(self):
         with pytest.raises(NotImplementedError):
             iota_sum(SystemSpec.brun(P2, 2), 2**6)
@@ -189,6 +219,19 @@ class TestBirkhoff:
         with pytest.raises(InsufficientData):
             digit_mean_reports(s, 20, 50, seed=1, precision=12)
 
+    @pytest.mark.parametrize(
+        "n_samples,seed,precision,done",
+        [(1, 31, None, 0), (3, 15, 2, 1)],
+        ids=["0-of-1", "1-of-3"],
+    )
+    def test_fewer_than_half_completed(self, n_samples, seed, precision, done):
+        # 2*done < total raises, also when total is odd or no digit completed
+        s = SystemSpec.schneider(P2)
+        with pytest.raises(
+            InsufficientData, match=f"^only {done} of {n_samples} digit observations completed$"
+        ):
+            digit_mean_reports(s, n_samples, 1, seed, precision=precision)
+
     def test_multi_dim_rejected(self):
         with pytest.raises(ValueError):
             digit_mean_reports(SystemSpec.jacobi_perron(P2, 2), 10, 10, seed=0)
@@ -224,8 +267,12 @@ class TestInvarianceMC:
             tol = 4 * math.hypot(pre.stderr, direct.stderr)
             assert abs(pre.estimate - direct.estimate) <= tol
 
-    @pytest.mark.parametrize("every,done", [(4, 250), (2, 500)])
-    def test_insufficient_data(self, monkeypatch, every, done):
+    @pytest.mark.parametrize(
+        "every,done,n_samples",
+        [(4, 250, 1000), (2, 500, 1000), (2, 0, 1), (2, 1, 3)],
+        ids=["4-250", "2-500", "2-0-of-1", "2-1-of-3"],
+    )
+    def test_insufficient_data(self, monkeypatch, every, done, n_samples):
         # the step runs out of precision on all but one in `every` samples;
         # fewer than half completed raises, exactly half still reports
         from padic_cf import ergodics
@@ -242,13 +289,15 @@ class TestInvarianceMC:
         monkeypatch.setattr(ergodics, "step_core", mostly_exhausted)
         s = SystemSpec.schneider(P2)
         c = ProductCylinder((Ball(P2, Fraction(0), 1),))
-        if done < 500:
-            with pytest.raises(InsufficientData, match=f"^only {done} of 1000 samples completed$"):
-                invariance_mc(s, c, 1000, seed=8)
+        if 2 * done < n_samples:
+            with pytest.raises(
+                InsufficientData, match=f"^only {done} of {n_samples} samples completed$"
+            ):
+                invariance_mc(s, c, n_samples, seed=8)
         else:
-            rep = invariance_mc(s, c, 1000, seed=8)
+            rep = invariance_mc(s, c, n_samples, seed=8)
             assert (rep.n_samples, rep.n_dropped, rep.estimate) == (500, 500, 1.0)
-        assert len(calls) == 1000
+        assert len(calls) == n_samples
 
     @pytest.mark.parametrize(
         "make_spec,same_as",
