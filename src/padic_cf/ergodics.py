@@ -124,32 +124,25 @@ def theoretical_digit_means(p: int, ell) -> tuple[Fraction, Fraction]:
     return mean_a, Fraction(p, p**ell * (p - 1))
 
 
-# Set by the pool initializer in each forked child, never in the caller.
-_shard_worker = None
-
-
-def _set_shard_worker(worker) -> None:
-    global _shard_worker
-    _shard_worker = worker
-
-
-def _run_job(job):
-    return _shard_worker(job)
-
-
 def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) -> list:
     """Split a sample budget into fixed-size shards with seeds seed, seed+1, ...
 
     The shard layout depends only on n_samples, never on the worker count, so
     results are reproducible whether or not the run is parallel.  With more
-    than one shard and threads > 1 the shards run in forked processes, no more
-    than `threads` and the CPU count (at least 2, so that they stay child
-    processes on a one-CPU host).  The worker reaches them by fork
-    inheritance, not by pickling, so it may be a closure; only the (seed,
-    size) jobs and the shard results cross the process boundary, and `map`
-    returns them in shard order.  A worker process that dies raises
-    ShardProcessDied.
+    than one shard and threads > 1 the shards go to n workers, no more than
+    `threads`, the shard count and the CPU count (at least 2, so that a
+    one-CPU host still forks).  Worker k runs shards k, k+n, ...: worker 0 is
+    the calling process, and each other worker is one forked child that
+    reaches the worker by fork inheritance, so it may be a closure.  A child
+    pickles (True, its results) or (False, its exception) once into a pipe
+    and leaves through os._exit; the caller merges the results in shard
+    order.  The caller's own exception is raised first, then the children's
+    in worker order.  A child that exits uncleanly or sends a short or empty
+    payload raises ShardProcessDied.  Every child is killed if still running
+    and reaped before the call returns or raises.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     jobs = []
     offset = 0
     idx = 0
@@ -158,24 +151,72 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
         jobs.append((seed + idx, size))
         offset += size
         idx += 1
-    if threads > 1 and len(jobs) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    n = min(threads, len(jobs), max(2, os.cpu_count() or 1))
+    if n < 2:
+        return [worker(job) for job in jobs]
+    import pickle
+    import signal
 
+    children = {}  # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _shard_child(worker, jobs[k::n], w)
+            os.close(w)
+            children[pid] = r
+        parts = [[worker(job) for job in jobs[::n]]]
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(children.pop(pid))
+            # a child writes its payload whole before it exits with 0
+            if os.waitstatus_to_exitcode(status) != 0 or not payload:
+                raise ShardProcessDied(
+                    "a shard worker process exited before returning its result"
+                )
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        for pid, r in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+    return [parts[i % n][i // n] for i in range(len(jobs))]
+
+
+def _shard_child(worker, jobs, w: int) -> None:
+    """Body of a forked shard worker: run its jobs, write one pickled outcome
+    to the pipe end w, and leave through os._exit without returning.  An
+    outcome that does not pickle is sent as a ShardProcessDied naming why."""
+    import pickle
+
+    code = 1
+    try:
         try:
-            with ProcessPoolExecutor(
-                min(threads, len(jobs), max(2, os.cpu_count() or 1)),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_set_shard_worker,
-                initargs=(worker,),
-            ) as pool:
-                return list(pool.map(_run_job, jobs))
-        except BrokenProcessPool as exc:
-            raise ShardProcessDied(
-                "a shard worker process exited before returning its result"
-            ) from exc
-    return [worker(job) for job in jobs]
+            outcome = (True, [worker(job) for job in jobs])
+        except Exception as exc:
+            outcome = (False, exc)
+        try:
+            payload = pickle.dumps(outcome)
+        except Exception as exc:
+            payload = pickle.dumps(
+                (False, ShardProcessDied(f"a shard's outcome does not pickle: {exc}"))
+            )
+        with open(w, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def digit_mean_reports(
@@ -197,6 +238,8 @@ def digit_mean_reports(
     """
     if spec.kind != ONE_DIM:
         raise ValueError("digit observables are defined for one-dimensional systems")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if precision is None:
         precision = 4 * n_steps
     if precision < 1:

@@ -52,4 +52,5 @@ class WordTooShort(PadicError):
 
 
 class ShardProcessDied(PadicError):
-    """A forked Monte Carlo shard process exited before returning its result."""
+    """A forked Monte Carlo shard process exited before returning its result,
+    or its outcome could not be pickled to send back."""

@@ -59,7 +59,10 @@ class PrimeCtx:
 
 
 def _intval(n: int, p: int) -> int:
-    """Exponent of p in a nonzero integer."""
+    """Exponent of p in a nonzero integer; at p = 2 its count of trailing
+    zero bits, read off the lowest set bit n & -n."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v = 0
     while n % p == 0:
         n //= p

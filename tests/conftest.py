@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 # The `pythonpath` setting in pyproject.toml puts src/ on this process's path;
@@ -15,3 +16,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_child_left_unreaped():
+    """After the last test, this process has no child: every fork made by a
+    parallel Monte Carlo run and every subprocess was reaped."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process was left behind (waitpid: {pid}, {status})")

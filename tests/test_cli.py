@@ -579,11 +579,13 @@ class TestMalformedInput:
         from padic_cf import ergodics
 
         parent = os.getpid()
+        step_core = ergodics.step_core
 
         def dies_in_a_child(*args):
+            # the caller runs the first of the two shards itself
             if os.getpid() != parent:
                 os._exit(1)
-            raise AssertionError("shards of a parallel run ran in the calling process")
+            return step_core(*args)
 
         monkeypatch.setattr(ergodics, "step_core", dies_in_a_child)
         code, out = run_cli(

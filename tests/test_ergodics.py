@@ -6,6 +6,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from padic_cf import (
     PrecisionExhausted,
     PrimeCtx,
     ProductCylinder,
+    ShardProcessDied,
     SymbolicCylinder,
     SystemSpec,
     WordTooShort,
@@ -236,6 +238,24 @@ class TestBirkhoff:
         with pytest.raises(ValueError):
             digit_mean_reports(SystemSpec.jacobi_perron(P2, 2), 10, 10, seed=0)
 
+    @pytest.mark.parametrize("n_steps", [0, -5])
+    def test_step_count_below_one(self, n_steps):
+        with pytest.raises(ValueError, match=f"^n_steps must be at least 1, got {n_steps}$"):
+            digit_mean_reports(SystemSpec.schneider(P3), 3, n_steps, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [0, -5])
+@pytest.mark.parametrize("check", ["invariance", "membership", "digit-means"])
+def test_sample_count_below_one(check, n_samples):
+    c = ProductCylinder((Ball(P2, Fraction(2), 3),))
+    run = {
+        "invariance": lambda: invariance_mc(SystemSpec.schneider(P2), c, n_samples, seed=1),
+        "membership": lambda: membership_mc(SystemSpec.schneider(P2), c, n_samples, seed=1),
+        "digit-means": lambda: digit_mean_reports(SystemSpec.schneider(P3), n_samples, 3, seed=1),
+    }[check]
+    with pytest.raises(ValueError, match=f"^n_samples must be at least 1, got {n_samples}$"):
+        run()
+
 
 class TestInvarianceMC:
     def test_full_space_hits_exactly(self):
@@ -405,17 +425,21 @@ class TestShardPool:
                 raise PrecisionExhausted(f"shard {job[0]}")
             return job
 
+        # shard 2 is the caller's own (worker 0 of 2 runs shards 0 and 2)
         with pytest.raises(PrecisionExhausted, match="^shard 2$"):
             _run_sharded(worker, 40, 0, chunk=10, threads=2)
 
         def not_hyperbolic(job):
-            raise NotHyperbolicError(3, f"coordinate {job[0]}")
+            if job[0] == 1:
+                raise NotHyperbolicError(3, f"coordinate {job[0]}")
+            return job
 
-        # an error that does not unpickle would leave pool.map waiting forever
-        copy = pickle.loads(pickle.dumps(NotHyperbolicError(3, "coordinate 0")))
+        # shard 1 is a child's: its error crosses the pipe pickled, and must
+        # come back whole
+        copy = pickle.loads(pickle.dumps(NotHyperbolicError(3, "coordinate 1")))
         assert copy.condition == 3
-        assert str(copy) == "not hyperbolic: condition (iii) failed (coordinate 0)"
-        with pytest.raises(NotHyperbolicError, match=r"\(iii\) failed") as err:
+        assert str(copy) == "not hyperbolic: condition (iii) failed (coordinate 1)"
+        with pytest.raises(NotHyperbolicError, match=r"\(iii\) failed \(coordinate 1\)") as err:
             _run_sharded(not_hyperbolic, 20, 0, chunk=10, threads=2)
         assert err.value.condition == 3
 
@@ -426,84 +450,164 @@ class TestShardPool:
             seed, size = job
             return seed + offset["seed"], size, os.getpid()
 
+        # two workers: the caller runs shards 0 and 2, one child shard 1
         out = _run_sharded(worker, 25, 7, chunk=10, threads=2)
         assert [r[:2] for r in out] == [(1007, 10), (1008, 10), (1009, 5)]
-        assert os.getpid() not in {r[2] for r in out}
+        assert out[0][2] == out[2][2] == os.getpid() != out[1][2]
         # a single shard runs in this process whatever the worker count
         assert _run_sharded(worker, 10, 7, chunk=10, threads=2) == [(1007, 10, os.getpid())]
 
     def test_dead_worker_process_raises(self):
-        # one of three shards ends its process; the call raises instead of
-        # waiting for that shard's result
+        # one of three shards ends its process, with a failing status or with
+        # status 0 and no payload; the call raises instead of waiting for that
+        # shard's result, and names no other cause
         code = (
             "import os\n"
             "from padic_cf import ShardProcessDied\n"
             "from padic_cf.ergodics import _run_sharded\n"
-            "def worker(job):\n"
-            "    if job[0] == 1:\n"
-            "        os._exit(1)\n"
-            "    return job\n"
-            "try:\n"
-            "    _run_sharded(worker, 30, 0, chunk=10, threads=2)\n"
-            "except ShardProcessDied as exc:\n"
-            "    print(type(exc.__cause__).__name__)\n"
+            "for status in (1, 0):\n"
+            "    def worker(job):\n"
+            "        if job[0] == 1:\n"
+            "            os._exit(status)\n"
+            "        return job\n"
+            "    try:\n"
+            "        _run_sharded(worker, 30, 0, chunk=10, threads=2)\n"
+            "    except ShardProcessDied as exc:\n"
+            "        print(exc.__cause__, exc.__context__)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "BrokenProcessPool"
+        assert proc.stdout.splitlines() == ["None None", "None None"]
+
+    @pytest.mark.parametrize(
+        "outcome", ["success", "child raises", "caller raises", "child dies"]
+    )
+    def test_no_child_left_running(self, outcome):
+        parent = os.getpid()
+
+        def worker(job):
+            in_child = os.getpid() != parent
+            if outcome == "child raises" and in_child:
+                raise PrecisionExhausted("in a child")
+            if outcome == "caller raises":
+                if not in_child:
+                    raise PrecisionExhausted("in the caller")
+                time.sleep(30)  # still running when the caller raises
+            if outcome == "child dies" and in_child:
+                os._exit(1)
+            return job
+
+        errors = {
+            "child raises": PrecisionExhausted,
+            "caller raises": PrecisionExhausted,
+            "child dies": ShardProcessDied,
+        }
+        start = time.monotonic()
+        if outcome == "success":
+            assert _run_sharded(worker, 30, 0, chunk=10, threads=2) == [
+                (0, 10), (1, 10), (2, 10)
+            ]
+        else:
+            with pytest.raises(errors[outcome]):
+                _run_sharded(worker, 30, 0, chunk=10, threads=2)
+        assert time.monotonic() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_error_that_does_not_pickle_surfaces(self):
+        # an error that cannot cross the pipe, or cannot be rebuilt on the
+        # caller's side, still ends the call with an error and no hang
+        code = (
+            "from padic_cf.ergodics import _run_sharded\n"
+            "class Unpicklable(Exception):\n"
+            "    def __init__(self):\n"
+            "        super().__init__('carries a function')\n"
+            "        self.hook = lambda: None\n"
+            "class NeedsTwo(Exception):\n"
+            "    def __init__(self, a, b):\n"
+            "        super().__init__(a)\n"
+            "for error in (Unpicklable, lambda: NeedsTwo(1, 2)):\n"
+            "    def worker(job):\n"
+            "        if job[0] == 1:\n"
+            "            raise error()\n"
+            "        return job\n"
+            "    try:\n"
+            "        _run_sharded(worker, 30, 0, chunk=10, threads=2)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, second = proc.stdout.splitlines()
+        assert first.startswith("ShardProcessDied a shard's outcome does not pickle: ")
+        assert second.startswith("TypeError ")
 
     def test_more_workers_than_shards(self):
         out = _run_sharded(lambda job: job, 15, 4, chunk=10, threads=5)
         assert out == [(4, 10), (5, 5)]
 
     def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        # the executor forks all its workers at the first submit, so an
-        # uncapped threads value would fork one process per shard
-        import concurrent.futures
-
+        # n workers make n - 1 forks.  The forks below are faked, so no
+        # process starts: a faked child sends nothing, and the call raises
+        # ShardProcessDied once it has made every fork.  An uncapped count
+        # would make 999 forks for 1,000 shards.
         import padic_cf.ergodics as ergodics
 
-        sizes = []
+        fake = 10**8  # above any real pid (Linux caps pids at 2**22)
+        forks = []
+        real_waitpid = os.waitpid
 
-        class InProcessExecutor:
-            def __init__(self, max_workers, mp_context, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
+        def fork():
+            forks.append(fake + len(forks))
+            return forks[-1]
 
-            def __enter__(self):
-                return self
+        def waitpid(pid, options):
+            return (pid, 0) if pid >= fake else real_waitpid(pid, options)
 
-            def __exit__(self, *exc):
-                return False
+        def kill(pid, sig):
+            assert pid >= fake
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
-        monkeypatch.setattr(ergodics, "_shard_worker", None)
-        serial = [(j, 1) for j in range(1000)]
-        for cpus, cap in ((64, 64), (1, 2), (None, 2)):
+        monkeypatch.setattr(ergodics.os, "fork", fork)
+        monkeypatch.setattr(ergodics.os, "waitpid", waitpid)
+        monkeypatch.setattr(ergodics.os, "kill", kill)
+        for cpus, n_jobs, cap in ((64, 1000, 64), (1, 1000, 2), (None, 1000, 2), (64, 3, 3)):
             monkeypatch.setattr(ergodics.os, "cpu_count", lambda: cpus)
-            assert _run_sharded(lambda j: j, 1000, 0, chunk=1, threads=10**6) == serial
-            assert sizes.pop() == cap, cpus
-        # fewer jobs than CPUs: one worker a job
-        monkeypatch.setattr(ergodics.os, "cpu_count", lambda: 64)
-        assert _run_sharded(lambda j: j, 3, 0, chunk=1, threads=10**6) == serial[:3]
-        assert sizes == [3]
+            forks.clear()
+            with pytest.raises(ShardProcessDied):
+                _run_sharded(lambda j: j, n_jobs, 0, chunk=1, threads=10**6)
+            assert len(forks) == cap - 1, (cpus, n_jobs)
+        monkeypatch.undo()
+        # two real forks: workers 1 and 2 of 3 send shards k, k+3, ... back,
+        # and the caller puts all 8 in shard order
+        monkeypatch.setattr(ergodics.os, "cpu_count", lambda: 3)
+        out = _run_sharded(lambda j: (j, os.getpid()), 8, 0, chunk=1, threads=10**6)
+        assert [r[0] for r in out] == [(j, 1) for j in range(8)]
+        pids = [r[1] for r in out]
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids[1::3])) == len(set(pids[2::3])) == 1
+        assert len(set(pids)) == 3
 
     def test_import_loads_no_pool_module(self):
+        # nor does a parallel run: the fan-out forks directly
         code = (
-            "import sys, padic_cf, padic_cf.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+            "import sys, padic_cf, padic_cf.cli\n"
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.partition('.')[0] in ('multiprocessing', 'concurrent'))\n"
+            "print(pools())\n"
+            "from padic_cf.ergodics import _run_sharded\n"
+            "assert _run_sharded(lambda job: job, 20, 0, chunk=10, threads=2) == [(0, 10), (1, 10)]\n"
+            "print(pools())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestMixing:

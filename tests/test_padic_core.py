@@ -31,6 +31,7 @@ from padic_cf import (
     valuation,
 )
 from padic_cf.cfsystems import digit_class
+from padic_cf.padic_core import _intval
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -88,6 +89,22 @@ class TestValuationAndNorm:
     @given(any_fractions, st.sampled_from([2, 3, 5]))
     def test_ord_matches_brute_force(self, x, p):
         assert valuation(x, PrimeCtx(p)) == brute_ord(x, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_intval_matches_the_division_loop(self, p):
+        def loop(n):
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            return v
+
+        rng = random.Random(p)
+        units = [1, p - 1, p + 1, *(rng.randrange(1, 10**30) for _ in range(20))]
+        for e in [*range(12), 63, 64, 65, 3000]:
+            for u in units:
+                for n in (u * p**e, -u * p**e):
+                    assert _intval(n, p) == loop(n), (n, p)
 
     def test_norm_examples(self):
         assert norm(Fraction(0), P2) == 0
