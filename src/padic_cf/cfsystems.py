@@ -37,7 +37,7 @@ from .errors import (
     InvalidDigit,
     PrecisionExhausted,
 )
-from .lft import LftParams, apply_inverse, inverse_matrix, iota
+from .lft import LftParams, apply_inverse, iota
 from .padic_core import (
     INF,
     PadicApprox,
@@ -485,11 +485,28 @@ def convergent(spec: SystemSpec, digits):
     return vec[0] if spec.kind == ONE_DIM else vec
 
 
-def _integral(matrix):
-    """The same projective map with integer entries, scaled by the lcm of the
-    denominators, so that products need no gcd per entry."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in matrix)
+def _branch_matrix(spec: SystemSpec, d):
+    """lft.inverse_matrix(branch_lft(spec, d)) times p**E, the lcm of its
+    denominators, built on integers from a digit pivot_valuation accepted.
+
+    With p_k = p**r_k, q_k = n_k / p**c_k (c_k = 0 for q_k = 0) and
+    s = sigma^-1(i), E = max(0, c_s, max_{t != s}(r_t + c_t - r_s)), so
+    top = p**(E + r_s) is the largest p_k * p**c_k.  The entries are then
+    X_0 = n_s*top/(p_s*p**c_s) Y_0 + top/p_s Y_s, X_i = top Y_0, and
+    X_k = n_t*top/(p_t*p**c_t) Y_0 + top/p_t Y_t for k != i, t = sigma^-1(k).
+    """
+    p, m, i = spec.ctx.p, spec.m, d.pivot
+    pw = [p**r for r in d.pexp]
+    nums = [q.numerator for q in d.qvec]
+    scale = [pk * q.denominator for pk, q in zip(pw, d.qvec)]
+    top = max(scale)
+    rows = [[0] * (m + 1) for _ in range(m + 1)]
+    rows[i][0] = top
+    for t, k in enumerate(spec.sigma):  # slot t + 1 = sigma^-1(k)
+        row = rows[0] if k == i else rows[k]
+        row[0] = nums[t] * (top // scale[t])
+        row[t + 1] = top // pw[t]
+    return rows
 
 
 def _compose(a, b):
@@ -505,13 +522,16 @@ def convergents(spec: SystemSpec, digits):
 
     Carries the composed inverse branch M_1*...*M_j as one homogeneous
     matrix and right-multiplies it by each new branch matrix, so every row
-    costs one branch instead of j.  The convergent, the image of the origin
-    e_0, is column 0 divided by its entry 0.  Digits are validated one by
-    one, so an invalid digit raises after the rows before it.
+    costs one branch instead of j; each branch matrix is built on integers
+    from its digit (_branch_matrix), with no LftParams.  The convergent, the
+    image of the origin e_0, is column 0 divided by its entry 0.  Digits are
+    validated by pivot_valuation one by one, so an invalid digit raises
+    after the rows before it.
     """
     carried = None
     for d in digits:
-        branch = _integral(inverse_matrix(branch_lft(spec, d)))
+        pivot_valuation(spec, d)
+        branch = _branch_matrix(spec, d)
         carried = branch if carried is None else _compose(carried, branch)
         x0 = carried[0][0]
         vec = tuple(Fraction(row[0], x0) for row in carried[1:])
@@ -638,10 +658,14 @@ def _json_int(x) -> int:
 
 
 def digit_from_obj(obj: dict):
-    """The digit of a digit_to_obj record; ValueError unless k, pivot and the
-    pexp entries are JSON integers and v and the q entries strings."""
-    if "k" in obj:
+    """The digit of a digit_to_obj record; ValueError unless its keys are
+    {k, v} or {pexp, q} with an optional pivot, k, pivot and the pexp entries
+    are JSON integers and v and the q entries strings."""
+    keys = set(obj) if isinstance(obj, dict) else None
+    if keys == {"k", "v"}:
         return Digit1D(_json_int(obj["k"]), parse_rational(obj["v"]))
+    if keys not in ({"pexp", "q"}, {"pexp", "q", "pivot"}):
+        raise ValueError(f"expected the keys k, v or pexp, q[, pivot], got {obj!r}")
     if not (isinstance(obj["pexp"], list) and isinstance(obj["q"], list)):
         raise ValueError("pexp and q must be lists")
     return DigitMD(

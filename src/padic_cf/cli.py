@@ -2,7 +2,8 @@
 
 Output is machine readable (JSON lines or CSV) and byte-deterministic for a
 fixed configuration and seed.  Exit codes: 0 success, 1 a statistics check
-missed its tolerance, 2 malformed input or configuration.
+missed its tolerance, 2 malformed input or configuration, 141 the reader
+closed the output pipe.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .padic_core import (
     format_rational,
     haar_sample_vector,
     is_prime,
+    parse_int,
     parse_rational,
     valuation,
 )
@@ -259,7 +261,7 @@ def _parse_cylinder(spec: SystemSpec, text: str, flag: str):
             continue
         try:
             k_s, v_s = part.split(",", 1)
-            letters.append(Digit1D(int(k_s), parse_rational(v_s)))
+            letters.append(Digit1D(parse_int(k_s), parse_rational(v_s)))
         except (ValueError, ZeroDivisionError):
             raise CliError(
                 f"argument {flag}: expected '(k,v)' letters separated by ';', got {text!r}"
@@ -455,13 +457,21 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _fill_defaults(args)
-        if args.command == "expand":
-            return cmd_expand(args, out)
-        if args.command == "convergents":
-            return cmd_convergents(args, out)
-        if args.command == "branches":
-            return cmd_branches(args, out)
-        return cmd_stats(args, out)
+        commands = {"expand": cmd_expand, "convergents": cmd_convergents, "branches": cmd_branches}
+        code = commands.get(args.command, cmd_stats)(args, out)
+        out.flush()  # a closed pipe raises here rather than at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe, which is no fault of the input: end
+        # quietly, with stdout on devnull so the flush at exit cannot fail
+        if out is sys.stdout:
+            try:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            except (OSError, ValueError):  # a stdout without a file descriptor
+                pass
+        return 141  # 128 + SIGPIPE
     except ShardProcessDied as exc:
         print(f"error: {exc}; --threads 1 runs every shard in this process", file=sys.stderr)
         return 2

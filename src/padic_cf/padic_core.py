@@ -638,16 +638,31 @@ def format_rational(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _is_int_text(t: str) -> bool:
+    """Whether t is an optional '-' and one or more ASCII digits; int()
+    alone would also read '+', '_' separators and other scripts' digits."""
+    body = t[1:] if t[:1] == "-" else t
+    return body.isascii() and body.isdigit()
+
+
+def parse_int(s: str) -> int:
+    """An optional '-' and ASCII digits, after a strip, as an int;
+    ValueError for anything else."""
+    if not (isinstance(s, str) and _is_int_text(s.strip())):
+        raise ValueError(f"expected an ASCII decimal integer, got {s!r}")
+    return int(s)
+
+
 def parse_rational(s: str) -> Fraction:
-    """'num/den' or 'num' as a Fraction; ValueError for anything else, a
-    value that is not a string included."""
+    """'num/den' or 'num' as a Fraction: after a strip, an optional '-' and
+    ASCII digits, then optionally '/' and ASCII digits.  ValueError for
+    anything else, a value that is not a string included."""
     if not isinstance(s, str):
         raise ValueError(f"expected 'num/den' as a string, got {s!r}")
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, sep, den = s.strip().partition("/")
+    if not (_is_int_text(num) and (not sep or den.isascii() and den.isdigit())):
+        raise ValueError(f"expected ASCII decimal 'num/den' or 'num', got {s!r}")
+    return Fraction(int(num), int(den)) if sep else Fraction(int(num))
 
 
 def format_approx(x: PadicApprox) -> str:

@@ -11,6 +11,7 @@ from padic_cf import (
     DigitMD,
     ExpansionTerminated,
     InvalidDigit,
+    LftParams,
     PadicApprox,
     PrecisionExhausted,
     PrimeCtx,
@@ -27,6 +28,7 @@ from padic_cf import (
     haar_sample,
     haar_sample_vector,
     integral_part,
+    inverse_matrix,
     iota,
     pivot_valuation,
     step,
@@ -39,6 +41,7 @@ from padic_cf.cfsystems import (
     ONE_DIM,
     RUNNING,
     TERMINATED,
+    _branch_matrix,
     digit_from_obj,
     digit_to_obj,
     expansion_records,
@@ -598,6 +601,62 @@ class TestConvergentsGenerator:
             for row in convergents(spec, word):
                 rows.append(row)
         assert rows == [convergent(spec, word[:j]) for j in range(1, k + 1)]
+
+
+def lcm_scaled(f):
+    """inverse_matrix(f) times the lcm of its denominators."""
+    matrix = inverse_matrix(f)
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return [[x * den for x in row] for row in matrix]
+
+
+class TestBranchMatrix:
+    """The integer branch matrix convergents builds from a digit against the
+    Fraction matrix of the digit's LftParams, scaled to integers."""
+
+    @pytest.mark.parametrize("p,bound", [(2, 2**8), (3, 3**7), (5, 5**4)])
+    def test_every_listed_branch(self, p, bound):
+        ctx = PrimeCtx(p)
+        specs = [
+            SystemSpec.schneider(ctx),
+            SystemSpec.ruban(ctx),
+            SystemSpec.one_dim(ctx, 1),
+            SystemSpec.jacobi_perron(ctx, 2),
+            SystemSpec.multi_dim(ctx, 0, 2),
+            SystemSpec.multi_dim(ctx, 1, 3),
+        ]
+        for spec in specs:
+            branches = enumerate_branches(spec, bound)
+            assert branches
+            for d, f in branches:
+                assert _branch_matrix(spec, d) == lcm_scaled(f), (spec, d)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("ctx", [P2, P3], ids=["p2", "p3"])
+    def test_brun_digits(self, ctx, m):
+        spec = SystemSpec.brun(ctx, m)
+        rng = random.Random(7)
+        pivots = set()
+        for _ in range(6):
+            for d in expand(spec, haar_sample_vector(ctx, m, 60, rng), 60).digits:
+                assert _branch_matrix(spec, d) == lcm_scaled(branch_lft(spec, d)), d
+                pivots.add(d.pivot)
+        assert pivots - {1}, "no Brun digit pivoted off coordinate 1"
+
+    def test_convergents_build_no_lft(self, monkeypatch):
+        rng = random.Random(3)
+        words = []
+        for spec in (SystemSpec.jacobi_perron(P2, 2), SystemSpec.brun(P3, 3)):
+            word = expand(spec, haar_sample_vector(spec.ctx, spec.m, 60, rng), 40).digits
+            words.append((spec, word, [convergent(spec, word[:j]) for j in range(1, len(word) + 1)]))
+
+        def refuse(self):
+            raise AssertionError("convergents built an LftParams")
+
+        monkeypatch.setattr(LftParams, "__post_init__", refuse)
+        for spec, word, reference in words:
+            assert len(word) >= 10
+            assert list(convergents(spec, word)) == reference
 
 
 class TestRefusals:

@@ -225,6 +225,26 @@ class TestConvergents:
     def test_digit_not_an_object(self, tmp_path, capsys):
         self._run_record(tmp_path, capsys, '{"digit":5}')
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"digit":{"k":1,"v":"1","pexp":[5]}}',
+            '{"digit":{"k":1,"v":"1","pivot":1}}',
+            '{"digit":{"k":1,"v":"1","extra":0}}',
+            '{"digit":{"k":1}}',
+            '{"digit":{"pexp":[1],"q":["1"],"k":1}}',
+            '{"digit":{"pexp":[1],"q":["1"],"pivot":1,"extra":0}}',
+            '{"digit":{"pexp":[1],"pivot":1}}',
+            '{"digit":"kv"}',
+        ],
+        ids=["1d-and-pexp", "1d-with-pivot", "1d-extra-key", "1d-without-v", "md-with-k",
+             "md-extra-key", "md-without-q", "string"],
+    )
+    def test_digit_record_has_one_shape(self, tmp_path, capsys, record):
+        """A digit has the keys {k, v} or {pexp, q} with an optional pivot;
+        a record with any other key set is refused, not read in part."""
+        self._run_record(tmp_path, capsys, record)
+
 
 class TestStats:
     def test_iota_sum_golden(self):
@@ -435,6 +455,26 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert "argument --wordA:" in err and "unpack" not in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["expand", "--p", "2", "--system", "schneider", "2_0/3"],
+             "argument point: cannot parse coordinate '2_0/3'"),
+            (["expand", "--p", "2", "--system", "schneider", "\uff12/3"],
+             "argument point: cannot parse coordinate '\uff12/3'"),
+            (["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+              "--wordA", "(1,1)", "--wordB", "(1_0,1)", "--n", "3"],
+             "argument --wordB: expected '(k,v)' letters separated by ';', got '(1_0,1)'"),
+        ],
+        ids=["underscore", "full-width-digit", "word-k-underscore"],
+    )
+    def test_number_text_is_ascii_decimal(self, capsys, argv, message):
+        """Numbers are an optional '-' and ASCII digits, then optionally '/'
+        and ASCII digits; int() alone would read each of these."""
+        code, out = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"error: {message}\n" == capsys.readouterr().err
 
     def test_zero_m(self, capsys):
         code, out = run_cli(["expand", "--p", "2", "--system", "jacobi-perron", "--m", "0", "2/3"])
@@ -788,3 +828,47 @@ class TestSubprocessEntry:
         )
         assert proc.returncode == 0
         assert proc.stdout == golden_text("expand_schneider_p2_2_3.jsonl")
+
+    def test_reader_closing_the_pipe(self):
+        """A reader that stops after one line, as `| head -1` does, ends the
+        run with exit 141 (128 + SIGPIPE) and nothing on stderr.  The output,
+        about 200 kB, is more than a pipe buffers, so the writer is still
+        writing when the pipe closes."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "padic_cf.cli", "expand", "--p", "2",
+             "--system", "schneider", "random:8000", "--steps", "8000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first.startswith(b'{"j":0,') and err == b""
+
+
+class TestReadmeExamples:
+    """The README shows these commands with their output, verbatim."""
+
+    README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def shown(self, argv, out):
+        return f"$ padic-cf {' '.join(argv)}\n{out}" in self.README
+
+    def test_expand_then_convergents(self, tmp_path, monkeypatch):
+        expand_argv = ["expand", "--p", "2", "--system", "schneider", "2/3"]
+        code, digits = run_cli(expand_argv)
+        assert code == 0 and self.shown(expand_argv, digits)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "digits.jsonl").write_text(digits, encoding="utf-8")
+        assert self.shown(expand_argv + [">", "digits.jsonl"], "")
+        argv = ["convergents", "--p", "2", "--system", "schneider", "digits.jsonl",
+                "--point", "2/3"]
+        code, out = run_cli(argv)
+        assert code == 0 and self.shown(argv, out)
+
+    def test_first_branch(self):
+        argv = ["branches", "--p", "2", "--system", "schneider", "--bound", "2^3"]
+        code, out = run_cli(argv)
+        assert code == 0 and self.shown(argv, out.splitlines()[0] + "\n...\n")
