@@ -52,56 +52,59 @@ from .padic_core import (
 BRANCH_CAP = 50_000
 
 
-class CliError(Exception):
-    pass
+class CliError(argparse.ArgumentTypeError):
+    """Malformed input: exit 2.  An argparse type may raise it too, and
+    argparse then prefixes the flag."""
+
+
+def _int(s: str, error: str) -> int:
+    """s read by parse_int, the one rule for integer text from outside;
+    CliError(error) if it does not read."""
+    try:
+        return parse_int(s)
+    except ValueError:
+        raise CliError(error) from None
 
 
 def _count(s: str) -> int:
-    """argparse type for counts that must be >= 1; argparse prefixes the flag."""
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {s!r}")
+    """argparse type for counts that must be >= 1."""
+    v = _int(s, f"expected an integer >= 1, got {s!r}")
     if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+        raise CliError(f"must be >= 1, got {v}")
     return v
 
 
 def _prime(s: str) -> int:
-    """argparse type for --p; argparse prefixes the flag."""
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a prime, got {s!r}")
+    """argparse type for --p."""
+    v = _int(s, f"expected a prime, got {s!r}")
     if not is_prime(v):
-        raise argparse.ArgumentTypeError(f"must be prime, got {v}")
+        raise CliError(f"must be prime, got {v}")
     return v
 
 
 def _ell(s: str):
-    """argparse type for --l, an integer >= 0 or 'inf'; argparse prefixes the flag."""
+    """argparse type for --l, an integer >= 0 or 'inf'."""
     if s == "inf":
         return INF
-    try:
-        v = int(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0 or 'inf', got {s!r}")
+    v = _int(s, f"expected an integer >= 0 or 'inf', got {s!r}")
     if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 or 'inf', got {s!r}")
+        raise CliError(f"must be >= 0 or 'inf', got {s!r}")
     return v
 
 
 def _bound(s: str) -> int:
-    """argparse type for an iota bound, N or B^E with integers and E >= 0;
-    argparse prefixes the flag."""
+    """argparse type for an iota bound, N or B^E with integers and E >= 0."""
     base, sep, expo = s.partition("^")
-    try:
-        b, e = int(base), (int(expo) if sep else 1)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or B^E with integers, got {s!r}")
+    error = f"expected N or B^E with integers, got {s!r}"
+    b, e = _int(base, error), (_int(expo, error) if sep else 1)
     if e < 0:
-        raise argparse.ArgumentTypeError(f"exponent must be >= 0, got {s!r}")
+        raise CliError(f"exponent must be >= 0, got {s!r}")
     return b**e
+
+
+def _seed(s: str) -> int:
+    """argparse type for --seed."""
+    return _int(s, f"expected an integer, got {s!r}")
 
 
 # --system name: (the spec it builds from (ctx, l, m), why it refuses --l or
@@ -136,14 +139,10 @@ def _parse_point(spec: SystemSpec, tokens: list[str], seed: int, name: str = "po
     """Point input, as a coordinate tuple: one 'num/den' per coordinate, or a
     single 'random:N'.  Errors name the argument `name`."""
     if len(tokens) == 1 and tokens[0].startswith("random:"):
-        try:
-            n = int(tokens[0].split(":", 1)[1])
-        except ValueError:
-            n = 0
+        error = f"argument {name}: expected random:N with an integer N >= 1, got {tokens[0]!r}"
+        n = _int(tokens[0].removeprefix("random:"), error)
         if n < 1:
-            raise CliError(
-                f"argument {name}: expected random:N with an integer N >= 1, got {tokens[0]!r}"
-            )
+            raise CliError(error)
         return haar_sample_vector(spec.ctx, spec.m, n, random.Random(seed))
     if len(tokens) == 1 and "," in tokens[0]:
         tokens = tokens[0].split(",")
@@ -178,34 +177,28 @@ def cmd_expand(args, out) -> int:
 
 def cmd_convergents(args, out) -> int:
     spec = _build_spec(args)
-    if args.digits == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        try:
+    try:
+        if args.digits == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.digits, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except OSError as exc:
-            raise CliError(f"argument digits: cannot read {args.digits!r}: {exc.strerror or exc}")
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise CliError(f"argument digits: cannot read {args.digits!r}: {reason}")
     digits = []
-    for line in lines:
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
-            raise CliError(f"invalid digit record: {line!r}")
-        if not isinstance(obj, dict):
-            raise CliError(f"invalid digit record: {line!r}")
-        if "digit" in obj:
-            try:
-                digits.append(digit_from_obj(obj["digit"]))
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                raise CliError(f"invalid digit record: {line!r}")
-        elif "status" in obj:
-            continue
-        else:
-            raise CliError(f"invalid digit record: {line!r}")
+            if isinstance(obj, dict) and "digit" not in obj and "status" in obj:
+                continue  # the status line that ends an expansion
+            # a record that is not an object fails the lookup with TypeError
+            digits.append(digit_from_obj(obj["digit"]))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError):
+            raise CliError(f"invalid digit record: {line!r}") from None
     if args.point is not None:
         x0, point = _coerce_point(spec, _parse_point(spec, args.point, args.seed, "--point"))
     p = spec.ctx.p
@@ -368,7 +361,7 @@ def cmd_stats(args, out) -> int:
 
 # flags beside the system flags, each registered only by the commands that read it
 _RUN_FLAGS = {
-    "--seed": {"type": int, "default": None},
+    "--seed": {"type": _seed, "default": None},
     "--steps": {"type": _count, "default": 32},
     "--precision": {"type": _count, "default": None, "help": "digits of digit-means orbits"},
     "--threads": {"type": _count, "default": 1},
@@ -433,10 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _fill_defaults(args):
     if "seed" in args and args.seed is None:
         env = os.environ.get("PADIC_CF_SEED")
-        try:
-            args.seed = int(env) if env else 0
-        except ValueError:
-            raise CliError(f"PADIC_CF_SEED: expected an integer, got {env!r}")
+        args.seed = _int(env, f"PADIC_CF_SEED: expected an integer, got {env!r}") if env else 0
     bound = getattr(args, "bound", None)
     if bound is not None and bound < args.p:
         raise CliError(f"argument --bound: must be at least p = {args.p}, got {bound}")

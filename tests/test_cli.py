@@ -848,6 +848,103 @@ class TestSubprocessEntry:
         assert first.startswith(b'{"j":0,') and err == b""
 
 
+STATS = ["stats", "--p", "2", "--system", "schneider"]
+DIGIT_MEANS = STATS + ["--check", "digit-means", "--samples", "10", "--steps", "3"]
+
+# (what the message names, argv with {} where the integer goes, a plain value
+# of two digits that the command accepts)
+INTEGER_INPUTS = [
+    ("argument --p", ["expand", "--p", "{}", "--system", "schneider", "random:5",
+                      "--steps", "2"], "11"),
+    ("argument --l", ["branches", "--p", "2", "--system", "tl", "--l", "{}",
+                      "--bound", "2^3"], "10"),
+    ("argument --m", ["expand", "--p", "2", "--system", "jacobi-perron", "--m", "{}",
+                      "random:5", "--steps", "2"], "10"),
+    ("argument --steps", ["expand", "--p", "2", "--system", "schneider", "random:20",
+                          "--steps", "{}"], "10"),
+    ("argument --precision", DIGIT_MEANS + ["--precision", "{}"], "12"),
+    ("argument --threads", DIGIT_MEANS + ["--threads", "{}"], "10"),
+    ("argument --samples", STATS + ["--check", "digit-means", "--steps", "3",
+                                    "--samples", "{}"], "10"),
+    ("argument --n", STATS + ["--check", "mixing", "--wordA", "(1,1)", "--wordB", "(2,1)",
+                              "--n", "{}"], "10"),
+    ("argument --cylinders", STATS + ["--check", "invariance", "--samples", "10",
+                                      "--cylinders", "{}"], "10"),
+    ("argument --bound", ["branches", "--p", "2", "--system", "schneider",
+                          "--bound", "{}^1"], "16"),
+    ("argument --bound", ["branches", "--p", "2", "--system", "schneider",
+                          "--bound", "2^{}"], "10"),
+    ("argument --seed", ["expand", "--p", "2", "--system", "schneider", "random:20",
+                         "--steps", "2", "--seed", "{}"], "10"),
+    ("argument point", ["expand", "--p", "2", "--system", "schneider", "random:{}",
+                        "--steps", "2"], "10"),
+    ("PADIC_CF_SEED", ["expand", "--p", "2", "--system", "schneider", "random:20",
+                       "--steps", "2"], "10"),
+]
+INTEGER_INPUT_IDS = ["p", "l", "m", "steps", "precision", "threads", "samples", "n",
+                     "cylinders", "bound-base", "bound-exponent", "seed", "random-n",
+                     "env-seed"]
+NOT_ASCII_DECIMAL = {
+    "full-width": lambda v: "".join(chr(ord(c) + 0xFEE0) for c in v),
+    "underscore": lambda v: v[0] + "_" + v[1:],
+    "plus": lambda v: "+" + v,
+}
+
+
+class TestIntegerText:
+    """Every integer the CLI reads from argv or the environment is ASCII
+    decimal (padic_core.parse_int); int() alone would read each refused form."""
+
+    def _run(self, monkeypatch, name, argv, value):
+        if name == "PADIC_CF_SEED":
+            monkeypatch.setenv("PADIC_CF_SEED", value)
+            return run_cli(argv), value
+        text = next(a for a in argv if "{}" in a).format(value)
+        return run_cli([a.format(value) for a in argv]), text
+
+    @pytest.mark.parametrize("name,argv,plain", INTEGER_INPUTS, ids=INTEGER_INPUT_IDS)
+    def test_plain_value_is_read(self, monkeypatch, name, argv, plain):
+        (code, out), _ = self._run(monkeypatch, name, argv, plain)
+        assert code != 2 and out
+
+    @pytest.mark.parametrize("form", sorted(NOT_ASCII_DECIMAL))
+    @pytest.mark.parametrize("name,argv,plain", INTEGER_INPUTS, ids=INTEGER_INPUT_IDS)
+    def test_other_integer_text_is_refused(self, capsys, monkeypatch, name, argv, plain, form):
+        (code, out), text = self._run(monkeypatch, name, argv, NOT_ASCII_DECIMAL[form](plain))
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert f"error: {name}: " in err and repr(text) in err and "int()" not in err
+
+
+class TestDigitFileText:
+    """A digit file that cannot be decoded or nests too deep exits 2 with
+    its argument or the record named."""
+
+    def _convergents(self, path):
+        return run_cli(["convergents", "--p", "2", "--system", "schneider", str(path)])
+
+    @pytest.mark.parametrize("prefix", ["", '{"digit":'], ids=["bare", "in-a-digit"])
+    def test_deep_nesting(self, tmp_path, capsys, prefix):
+        path = tmp_path / "digits.jsonl"
+        path.write_text(prefix + "[" * 100_000 + "\n", encoding="utf-8")
+        assert self._convergents(path) == (2, "")
+        assert capsys.readouterr().err.startswith("error: invalid digit record: '")
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "digits.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        assert self._convergents(path) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: argument digits: cannot read {str(path)!r}: 'utf-8' codec can't decode "
+            "byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_stdin_not_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run_cli(["convergents", "--p", "2", "--system", "schneider", "-"]) == (2, "")
+        assert capsys.readouterr().err.startswith("error: argument digits: cannot read '-': ")
+
 class TestReadmeExamples:
     """The README shows these commands with their output, verbatim."""
 

@@ -179,6 +179,32 @@ class TestIntegralFractionalParts:
         assert i == 0 or digit_class(i, p) is not None
 
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_split_at_one_of_an_approximation(self, p):
+        """PadicApprox._split_at_one is (integral_part, the rest) of the
+        known digits: the rest keeps every digit at positions >= 1 and the
+        precision."""
+        ctx, rng = PrimeCtx(p), random.Random(p)
+        for _ in range(200):
+            lo = rng.randrange(-6, 6)
+            prec = rng.randrange(max(lo, 0) + 1, max(lo, 0) + 16)
+            x = PadicApprox(ctx, lo, rng.randrange(p ** (prec - lo)), prec)
+            rep = x.representative()
+            head, rest = x._split_at_one()
+            assert head == integral_part(rep, ctx)
+            assert rest.abs_prec == prec and rest.representative() == rep - head
+            assert digit_expand(rest.representative(), ctx, 1, prec) == (
+                digit_expand(rep, ctx, 1, prec)
+            )
+            assert rest.is_zero_at_precision or rest.valuation() >= 1
+        zero = PadicApprox.exact_zero(ctx)
+        assert zero._split_at_one() == (0, zero)
+
+    @pytest.mark.parametrize("lo,prec", [(-3, 0), (-1, -1), (0, 0)])
+    def test_split_at_one_needs_position_zero(self, lo, prec):
+        with pytest.raises(PrecisionExhausted):
+            PadicApprox(P3, lo, 2, prec)._split_at_one()
+
 class TestApproxArithmetic:
     def test_from_rational_digits(self):
         a = PadicApprox.from_rational(Fraction(2, 3), P2, 10)
