@@ -175,6 +175,14 @@ def cmd_expand(args, out) -> int:
     return 0
 
 
+def _quote_prefix(text: str) -> str:
+    """repr(text), cut to its first 100 characters and marked as cut when it
+    is longer."""
+    if len(text) <= 100:
+        return repr(text)
+    return f"{text[:100]!r}... ({len(text)} characters)"
+
+
 def cmd_convergents(args, out) -> int:
     spec = _build_spec(args)
     try:
@@ -198,7 +206,7 @@ def cmd_convergents(args, out) -> int:
             # a record that is not an object fails the lookup with TypeError
             digits.append(digit_from_obj(obj["digit"]))
         except (KeyError, TypeError, ValueError, ZeroDivisionError, RecursionError):
-            raise CliError(f"invalid digit record: {line!r}") from None
+            raise CliError(f"invalid digit record: {_quote_prefix(line)}") from None
     if args.point is not None:
         x0, point = _coerce_point(spec, _parse_point(spec, args.point, args.seed, "--point"))
     p = spec.ctx.p
@@ -217,6 +225,16 @@ def cmd_convergents(args, out) -> int:
     return 0
 
 
+def _int_text(n: int) -> str:
+    """n >= 0 in decimal up to 50 digits; above that '2^E' for a power of 2,
+    else '> 2^E' with 2^E <= n, a form that Python's integer-to-text limit
+    (4,300 digits) cannot refuse."""
+    if n < 10**50:
+        return str(n)
+    e = n.bit_length() - 1
+    return f"2^{e}" if n == 1 << e else f"> 2^{e}"
+
+
 def _capped_branches(spec: SystemSpec, bound: int, what: str) -> list:
     """enumerate_branches, if branch_counts finds at most BRANCH_CAP."""
     try:
@@ -225,8 +243,8 @@ def _capped_branches(spec: SystemSpec, bound: int, what: str) -> list:
         raise CliError(f"argument --system: {exc}")
     if n_branches > BRANCH_CAP:
         raise CliError(
-            f"argument --bound: {what} would enumerate {n_branches} branches at bound "
-            f"{bound}, more than {BRANCH_CAP}; give a smaller --bound"
+            f"argument --bound: {what} would enumerate {_int_text(n_branches)} branches at "
+            f"bound {_int_text(bound)}, more than {BRANCH_CAP}; give a smaller --bound"
         )
     return enumerate_branches(spec, bound)
 

@@ -7,7 +7,12 @@ observables and invariance checks on random cylinders, with exact integer
 sums per digit class and 4-standard-error tolerances.  Both Monte Carlo
 drivers step integers with cfsystems.step_core: a point is a denominator x0
 prime to p and one (ord, unit, abs_prec) triple per coordinate, and the
-cylinder test reads the triples over x0 without inverting it.
+cylinder test reads the triples over x0 without inverting it.  A cylinder
+shard memoises each sample's outcome on the digits that decide it: every
+coordinate's valuation o_k and its unit mod p**(L + o_1), L the cylinder's
+top level.  step_core decides every precision drop from the valuations, and
+the digits the cylinder test compares below L depend only on the units mod
+p**(L + d), d <= o_1 the pivot depth, so equal keys give equal outcomes.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .padic_core import (
     Ball,
     PrimeCtx,
     ProductCylinder,
+    _intval,
     measure,
 )
 
@@ -131,15 +137,18 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
     results are reproducible whether or not the run is parallel.  With more
     than one shard and threads > 1 the shards go to n workers, no more than
     `threads`, the shard count and the CPU count (at least 2, so that a
-    one-CPU host still forks).  Worker k runs shards k, k+n, ...: worker 0 is
-    the calling process, and each other worker is one forked child that
-    reaches the worker by fork inheritance, so it may be a closure.  A child
-    pickles (True, its results) or (False, its exception) once into a pipe
-    and leaves through os._exit; the caller merges the results in shard
-    order.  The caller's own exception is raised first, then the children's
-    in worker order.  A child that exits uncleanly or sends a short or empty
-    payload raises ShardProcessDied.  Every child is killed if still running
-    and reaped before the call returns or raises.
+    one-CPU host still forks).  Worker k runs shards k, k+n, ... and stops at
+    the first that raises (_run_shards): worker 0 is the calling process, and
+    each other worker is one forked child that reaches the worker by fork
+    inheritance, so it may be a closure.  A child pickles its outcome once
+    into a pipe and leaves through os._exit; the caller merges the results in
+    shard order.  Errors are raised as a serial run raises them: the error of
+    the lowest-indexed failing shard, whatever the worker count.  The caller
+    reads the children in worker order and stops once its lowest failing
+    index is below the next child's first shard, which no later child can
+    undercut.  A child that exits uncleanly or sends a short or empty payload
+    counts as ShardProcessDied at its first shard.  Every child is killed if
+    still running and reaped before the call returns or raises.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -168,24 +177,31 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
                 os.close(w)
                 raise
             if pid == 0:
-                _shard_child(worker, jobs[k::n], w)
+                _shard_child(worker, jobs, k, n, w)
             os.close(w)
             children[pid] = r
-        parts = [[worker(job) for job in jobs[::n]]]
-        for pid in list(children):
+        ok, value = _run_shards(worker, jobs, 0, n)
+        parts = [value if ok else None]
+        failed = None if ok else value  # (shard index, exception), the lowest so far
+        for k, pid in enumerate(list(children), 1):
+            if failed is not None and failed[0] < k:
+                break  # every shard of children k, k+1, ... lies above it
             with open(children[pid], "rb", closefd=False) as pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
             os.close(children.pop(pid))
             # a child writes its payload whole before it exits with 0
             if os.waitstatus_to_exitcode(status) != 0 or not payload:
-                raise ShardProcessDied(
-                    "a shard worker process exited before returning its result"
-                )
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            parts.append(value)
+                died = ShardProcessDied("a shard worker process exited before returning its result")
+                ok, value = False, (k, died)
+            else:
+                ok, value = pickle.loads(payload)
+            if ok:
+                parts.append(value)
+            elif failed is None or value[0] < failed[0]:
+                failed = value
+        if failed is not None:
+            raise failed[1]
     finally:
         for pid, r in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -194,23 +210,34 @@ def _run_sharded(worker, n_samples: int, seed: int, chunk: int, threads: int) ->
     return [parts[i % n][i // n] for i in range(len(jobs))]
 
 
-def _shard_child(worker, jobs, w: int) -> None:
-    """Body of a forked shard worker: run its jobs, write one pickled outcome
-    to the pipe end w, and leave through os._exit without returning.  An
-    outcome that does not pickle is sent as a ShardProcessDied naming why."""
+def _run_shards(worker, jobs, k: int, n: int) -> tuple:
+    """Worker k's share of the shards, k, k+n, ...: (True, their results), or
+    (False, (index, exception)) for the first of them that raises."""
+    results = []
+    for idx in range(k, len(jobs), n):
+        try:
+            results.append(worker(jobs[idx]))
+        except Exception as exc:
+            return False, (idx, exc)
+    return True, results
+
+
+def _shard_child(worker, jobs, k: int, n: int, w: int) -> None:
+    """Body of forked shard worker k of n: run its shards (_run_shards), write
+    the pickled outcome to the pipe end w, and leave through os._exit without
+    returning.  An outcome that does not pickle is sent as a ShardProcessDied
+    naming why, at the failing shard's index, or at shard k for results."""
     import pickle
 
     code = 1
     try:
-        try:
-            outcome = (True, [worker(job) for job in jobs])
-        except Exception as exc:
-            outcome = (False, exc)
+        outcome = _run_shards(worker, jobs, k, n)
         try:
             payload = pickle.dumps(outcome)
         except Exception as exc:
+            idx = k if outcome[0] else outcome[1][0]
             payload = pickle.dumps(
-                (False, ShardProcessDied(f"a shard's outcome does not pickle: {exc}"))
+                (False, (idx, ShardProcessDied(f"a shard's outcome does not pickle: {exc}")))
             )
         with open(w, "wb") as pipe:
             pipe.write(payload)
@@ -313,36 +340,67 @@ def _cylinder_mc(
 ) -> StatReport:
     """Fraction of Haar samples x (preimage: of their images T(x)) in c.
 
-    Samples are haar_sample_vector's draws at max(c.levels) + 48 digits, kept
-    as step_core triples over x0 = 1; a preimage sample is stepped once, and
-    its image is tested with ProductCylinder.contains_digits over the step's
-    denominator x0'.  A sample whose step or membership test raises is
-    dropped, so the estimate is conditioned on the completed samples:
-    n_samples is the count done, n_dropped the rest, and 2*done < n_samples
-    raises InsufficientData (_require_half).
+    Samples are haar_sample_vector's draws at L + 48 digits, L = max(c.levels):
+    coordinate k is p * u_k, kept as the step_core triple (1, u_k, L + 49)
+    over x0 = 1.  A preimage sample is stepped once, and its image is tested
+    with ProductCylinder.contains_digits over the step's denominator x0'.  A
+    sample whose step or membership test raises is dropped, so the estimate
+    is conditioned on the completed samples: n_samples is the count done,
+    n_dropped the rest, and 2*done < n_samples raises InsufficientData
+    (_require_half).
+
+    Each shard memoises the outcome (hit, miss or dropped) on the sample's
+    key, the residues u_k mod p**(v_k + L + o_1) with v_k = o_k - 1 the
+    valuation of u_k (a zero draw has o_k = L + 49 and residue 0).  A residue
+    names o_k and the unit mod p**(L + o_1), and an unseen key is decided by
+    step_core and contains_digits on the residues themselves, a point with
+    the same valuations and precisions.  That outcome is every sample's with
+    this key: step_core raises PrecisionExhausted on the valuations alone,
+    and a unit changed by a multiple of p**(L + o_1) moves the image's
+    coordinates p**ord_k * u_k / u_i (and p**(-d) / u_i) only at positions
+    >= L, as the pivot depth d is o_1 for the cyclic family and
+    min(o_k) <= o_1 for Brun.
     """
     if c.m != spec.m:
         raise ValueError("cylinder dimension mismatch")
-    precision = max(c.levels) + 48
-    top = spec.ctx.p**precision
+    level = max(c.levels)
+    precision = level + 48
+    p = spec.ctx.p
+    top = p**precision
     m = spec.m
+    # p**e for every key modulus p**(v_k + L + o_1), v_k <= precision and o_1 <= precision + 1
+    powers = [p**e for e in range(2 * precision + level + 2)]
 
     def run_shard(args):
         shard_seed, shard_samples = args
         draw = random.Random(shard_seed).randrange
+        outcomes = {}  # key -> True (hit), False (miss) or None (dropped)
+        unseen = object()
         hits = 0
         done = 0
         for _ in range(shard_samples):
-            # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
-            x0, point = 1, [(1, draw(top), precision + 1) for _ in range(m)]
-            try:
-                if preimage:
-                    _, _, _, x0, point = step_core(spec, x0, point)
-                inside = c.contains_digits(point, x0)
-            except (PrecisionExhausted, ExpansionTerminated):
-                continue
-            done += 1
-            hits += inside
+            residues = []
+            for _ in range(m):
+                # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
+                u = draw(top)
+                v = _intval(u, p) if u else precision  # o_k - 1
+                if not residues:
+                    shift = level + 1 + v  # L + o_1
+                residues.append(u % powers[v + shift])
+            key = tuple(residues)
+            inside = outcomes.get(key, unseen)
+            if inside is unseen:
+                x0, point = 1, [(1, u, precision + 1) for u in key]
+                try:
+                    if preimage:
+                        _, _, _, x0, point = step_core(spec, x0, point)
+                    inside = c.contains_digits(point, x0)
+                except (PrecisionExhausted, ExpansionTerminated):
+                    inside = None
+                outcomes[key] = inside
+            if inside is not None:
+                done += 1
+                hits += inside
         return hits, done
 
     results = _run_sharded(run_shard, n_samples, seed, chunk=10_000, threads=threads)

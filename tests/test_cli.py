@@ -615,6 +615,21 @@ class TestMalformedInput:
             f"{2**40}, more than 50000; give a smaller --bound"
         ) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["branches"], ["stats", "--check", "iota-sum"]], ids=["branches", "iota-sum"]
+    )
+    def test_branch_cap_at_a_bound_past_the_text_limit(self, capsys, command):
+        # Jacobi-Perron p=2 m=2 at 2^22000: the bound (6,623 digits) and its
+        # branch count (over 2^14666, 4,415 digits) are both past the 4,300
+        # digits Python turns into text; the refusal still names --bound
+        code, out = run_cli(
+            command + ["--p", "2", "--system", "jacobi-perron", "--m", "2", "--bound", "2^22000"]
+        )
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --bound: ")
+        assert "> 2^14666 branches at bound 2^22000, more than 50000" in err
+
     def test_dead_shard_process(self, capsys, monkeypatch):
         from padic_cf import ergodics
 
@@ -929,6 +944,16 @@ class TestDigitFileText:
         path.write_text(prefix + "[" * 100_000 + "\n", encoding="utf-8")
         assert self._convergents(path) == (2, "")
         assert capsys.readouterr().err.startswith("error: invalid digit record: '")
+
+    def test_long_record_is_quoted_cut(self, tmp_path, capsys):
+        # a 100,000-character record is quoted by its first 100 characters
+        line = '{"digit":"' + "x" * 99_988 + '"}'
+        path = tmp_path / "digits.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert self._convergents(path) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: invalid digit record: {line[:100]!r}... (100000 characters)\n"
+        assert len(err) < 200
 
     def test_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "digits.jsonl"

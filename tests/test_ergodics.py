@@ -288,36 +288,59 @@ class TestInvarianceMC:
             assert abs(pre.estimate - direct.estimate) <= tol
 
     @pytest.mark.parametrize(
-        "every,done,n_samples",
-        [(4, 250, 1000), (2, 500, 1000), (2, 0, 1), (2, 1, 3)],
+        "every,done,n_samples,seed",
+        [(4, 250, 1000, 41), (2, 500, 1000, 11), (2, 0, 1, 1), (2, 1, 3, 1)],
         ids=["4-250", "2-500", "2-0-of-1", "2-1-of-3"],
     )
-    def test_insufficient_data(self, monkeypatch, every, done, n_samples):
-        # the step runs out of precision on all but one in `every` samples;
+    def test_insufficient_data(self, monkeypatch, every, done, n_samples, seed):
+        # the step runs out of precision unless the sample 2*u has u = 1 mod
+        # `every`, a function of the point's digits 1 and 2, so samples that
+        # share them share the outcome however often the step is called;
         # fewer than half completed raises, exactly half still reports
         from padic_cf import ergodics
 
-        calls = []
         step_core = ergodics.step_core
 
-        def mostly_exhausted(*args):
-            calls.append(None)
-            if len(calls) % every:
+        def exhausted_unless(spec, x0, point):
+            lo, unit, _ = point[0]  # 2**lo * unit = 2 * u
+            if (unit << (lo - 1)) % every != 1:
                 raise PrecisionExhausted("not enough digits")
-            return step_core(*args)
+            return step_core(spec, x0, point)
 
-        monkeypatch.setattr(ergodics, "step_core", mostly_exhausted)
+        # the same draws counted independently: Ball(0, 1) is all of 2*Z_2,
+        # so every completed sample is a hit
+        draw = random.Random(seed).randrange
+        assert sum(draw(2**49) % every == 1 for _ in range(n_samples)) == done
+        monkeypatch.setattr(ergodics, "step_core", exhausted_unless)
         s = SystemSpec.schneider(P2)
         c = ProductCylinder((Ball(P2, Fraction(0), 1),))
         if 2 * done < n_samples:
             with pytest.raises(
                 InsufficientData, match=f"^only {done} of {n_samples} samples completed$"
             ):
-                invariance_mc(s, c, n_samples, seed=8)
+                invariance_mc(s, c, n_samples, seed=seed)
         else:
-            rep = invariance_mc(s, c, n_samples, seed=8)
-            assert (rep.n_samples, rep.n_dropped, rep.estimate) == (500, 500, 1.0)
-        assert len(calls) == n_samples
+            rep = invariance_mc(s, c, n_samples, seed=seed)
+            assert (rep.n_samples, rep.n_dropped, rep.estimate) == (done, n_samples - done, 1.0)
+
+    def test_step_runs_once_per_deciding_key(self, monkeypatch):
+        # samples that agree on the digits deciding their outcome share one
+        # step: 525 steps for 10,000 samples at this seed, and the same report
+        from padic_cf import ergodics
+
+        s = SystemSpec.schneider(P2)
+        c = ProductCylinder((Ball(P2, Fraction(2), 3),))
+        expected = invariance_mc(s, c, 10_000, seed=9)
+        calls = []
+        step_core = ergodics.step_core
+
+        def counted(*args):
+            calls.append(None)
+            return step_core(*args)
+
+        monkeypatch.setattr(ergodics, "step_core", counted)
+        assert invariance_mc(s, c, 10_000, seed=9) == expected
+        assert len(calls) < 1_000
 
     @pytest.mark.parametrize(
         "make_spec,same_as",
@@ -442,6 +465,26 @@ class TestShardPool:
         with pytest.raises(NotHyperbolicError, match=r"\(iii\) failed \(coordinate 1\)") as err:
             _run_sharded(not_hyperbolic, 20, 0, chunk=10, threads=2)
         assert err.value.condition == 3
+
+    @pytest.mark.parametrize(
+        "failing", [(1, 2), (2, 4), (3, 5), (0, 1)], ids=["1-2", "2-4", "3-5", "0-1"]
+    )
+    def test_error_does_not_depend_on_the_worker_count(self, monkeypatch, failing):
+        # a serial run raises the error of the lowest failing shard, and so
+        # does every parallel one, whichever worker ran it: with 3 workers,
+        # shards (1, 2) fail in both children, (2, 4) in child 1 after child
+        # 2's, (3, 5) in the caller and child 2, (0, 1) in the caller first
+        import padic_cf.ergodics as ergodics
+
+        def worker(job):
+            if job[0] in failing:
+                raise PrecisionExhausted(f"shard {job[0]}")
+            return job
+
+        monkeypatch.setattr(ergodics.os, "cpu_count", lambda: 3)
+        for threads in (1, 2, 3):
+            with pytest.raises(PrecisionExhausted, match=f"^shard {min(failing)}$"):
+                _run_sharded(worker, 90, 0, chunk=10, threads=threads)
 
     def test_closure_worker_runs_in_child_processes(self):
         offset = {"seed": 1000}

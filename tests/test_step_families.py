@@ -366,6 +366,50 @@ def test_cylinder_mc_matches_reference_loop(name, make, p):
             assert rep.stderr == math.sqrt(float(est * (1 - est)) / done)
 
 
+@pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
+def test_cylinder_mc_matches_reference_loop_on_deep_cylinders(name, make, p):
+    """2,000 samples on a cylinder of level 4 to 6, so that samples share the
+    digits that decide them: the shard's outcome memo must agree with a loop
+    that steps every sample."""
+    ctx = PrimeCtx(p)
+    spec = make(ctx)
+    rng = random.Random(f"mc-deep/{name}/p{p}")
+    c = random_cylinder(rng, ctx, spec.m, max_level=6)
+    while max(c.levels) < 4:
+        c = random_cylinder(rng, ctx, spec.m, max_level=6)
+    seed = rng.randrange(10**6)
+    for mc, preimage in ((invariance_mc, True), (membership_mc, False)):
+        rep = mc(spec, c, 2000, seed)
+        hits, done = _reference_mc(spec, c, 2000, seed, preimage)
+        assert (rep.estimate, rep.n_samples) == (hits / done, done), mc
+
+
+def test_cylinder_mc_keys_zero_draws(monkeypatch):
+    """A coordinate drawn as 0 (probability p**-(L + 48) each) is keyed and
+    decided like any other: here every fourth draw is 0, in the Monte Carlo
+    shards and the reference loop alike."""
+
+    class ZeroEveryFourth(random.Random):
+        def randrange(self, *args):
+            n = super().randrange(*args)
+            return 0 if n % 4 == 0 else n
+
+    monkeypatch.setattr(random, "Random", ZeroEveryFourth)
+    for name, make in CONFIGS:
+        for p in PRIMES:
+            ctx = PrimeCtx(p)
+            spec = make(ctx)
+            c = random_cylinder(random.Random(f"zero/{name}/p{p}"), ctx, spec.m, max_level=3)
+            for mc, preimage in ((invariance_mc, True), (membership_mc, False)):
+                hits, done = _reference_mc(spec, c, 200, 7, preimage)
+                if 2 * done < 200:
+                    with pytest.raises(InsufficientData):
+                        mc(spec, c, 200, 7)
+                    continue
+                rep = mc(spec, c, 200, 7)
+                assert (rep.estimate, rep.n_samples) == (hits / done, done), (name, p, mc)
+
+
 def _reference_digit_means(spec, n_samples, n_steps, seed, precision):
     """((estimate, stderr) of a, of b), or None where too few digits complete,
     written with the value types: Haar samples, step and Digit1D.v/.k, in
@@ -444,12 +488,15 @@ def test_digit_means_count_the_orbits_that_stop_early():
         assert (rep.n_samples, rep.n_dropped) == (n_samples, stopped)
 
 
-def _every_third_call_raises(fn, raised):
-    calls = itertools.count(1)
+def _raises_on_unit_3_mod_4(fn, at):
+    """fn, raising PrecisionExhausted instead when coordinate 1 of its point
+    argument args[at], the triple (lo, unit, prec) of 2**lo * unit, has a unit
+    whose odd part is 3 mod 4: a function of the coordinate's valuation and
+    the two digits above it, which every sample sharing them shares."""
 
     def wrapper(*args):
-        if next(calls) % 3 == 0:
-            raised.append(args)
+        _, unit, _ = args[at][0]
+        if unit and unit // (unit & -unit) % 4 == 3:
             raise PrecisionExhausted("forced")
         return fn(*args)
 
@@ -458,20 +505,32 @@ def _every_third_call_raises(fn, raised):
 
 def test_cylinder_mc_counts_the_samples_it_drops(monkeypatch):
     # at max(levels) + 48 digits no sample drops on its own, so the step
-    # (invariance) or the membership test (membership) raises on every third call
+    # (invariance) or the membership test (membership) raises for about half
+    # the samples, those whose coordinate 1 has unit 3 mod 4, however often
+    # either is called
     ctx = PrimeCtx(2)
     spec = SystemSpec.jacobi_perron(ctx, 2)
     c = random_cylinder(random.Random(43), ctx, 2, max_level=3)
-    for mc, module, name in (
-        (invariance_mc, ergodics, "step_core"),
-        (membership_mc, ProductCylinder, "contains_digits"),
+    n_digits = max(c.levels) + 48
+    for mc, module, name, at in (
+        (invariance_mc, ergodics, "step_core", 2),  # step_core(spec, x0, point)
+        (membership_mc, ProductCylinder, "contains_digits", 1),  # (self, point, x0)
     ):
-        raised = []
+        # the same draws in an independent loop on the value types
+        draw = random.Random(44).randrange
+        hits = done = 0
+        for _ in range(300):
+            units = [draw(2**n_digits) for _ in range(2)]
+            if units[0] // (units[0] & -units[0]) % 4 == 3:
+                continue
+            x = tuple(PadicApprox(ctx, 1, u, n_digits + 1) for u in units)
+            hits += c.contains(step(spec, x)[1] if mc is invariance_mc else x)
+            done += 1
+        assert 100 < done < 200
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, _every_third_call_raises(getattr(module, name), raised))
+            patch.setattr(module, name, _raises_on_unit_3_mod_4(getattr(module, name), at))
             rep = mc(spec, c, 300, seed=44)
-        assert (rep.n_samples, rep.n_dropped) == (300 - len(raised), len(raised)), mc
-        assert len(raised) == 100
+        assert (rep.n_samples, rep.n_dropped, rep.estimate) == (done, 300 - done, hits / done), mc
 
 
 # -- accepted digits give hyperbolic branches ----------------------------------
