@@ -42,12 +42,13 @@ from .padic_core import (
     INF,
     PadicApprox,
     PrimeCtx,
+    _digit_form,
     _fraction,
+    _intval,
     _inv_unit,
     as_fraction,
     format_rational,
     parse_rational,
-    valuation,
 )
 
 ONE_DIM = "one-dim"
@@ -66,15 +67,10 @@ def digit_class(v, p: int) -> int | None:
     if v <= 0:
         return None
     num, den = v.numerator, v.denominator
-    if den == 1:
-        return 0 if num <= p - 1 else None
-    n = 0
-    while den % p == 0:
-        den //= p
-        n += 1
-    if den != 1:
+    n = _intval(den, p)  # class n needs den = p**n and num < p**(n + 1)
+    if den != p**n or num >= p * den:
         return None
-    return n if num < p ** (n + 1) else None
+    return n
 
 
 def digit_values(p: int, n: int):
@@ -217,37 +213,26 @@ def _coerce_point(spec: SystemSpec, coords: tuple):
     """(x0, triples), the step_core form of a point of (p*Z_p)^m; ValueError
     for any other input.
 
-    x0 is the lcm of the denominators of the exact coordinates, prime to p
-    because they lie in p*Z_p.  An exact coordinate num/den (an exact-zero
-    PadicApprox counts as 0) becomes (0, num * (x0 // den), inf), and an
-    approximation its own (ord, unit * x0, abs_prec)."""
+    Each coordinate reads through padic_core._digit_form as p**ord * unit /
+    den known mod p**abs_prec (den = 1 for an approximation).  x0 is the lcm
+    of the dens, prime to p because the point lies in (p*Z_p)^m, and the
+    coordinate becomes (ord, unit * (x0 // den), abs_prec)."""
     if len(coords) != spec.m:
         raise ValueError(f"expected {spec.m} coordinates, got {len(coords)}")
-    ctx = spec.ctx
-    x0 = 1
-    outside = False  # an approximation below p*Z_p, reported after the other checks
-    vals = []
+    forms = []
     for c in coords:
-        if isinstance(c, PadicApprox):
-            if c.ctx.p != ctx.p:
-                raise ValueError("coordinate prime differs from system prime")
-            if not c.is_exact_zero:
-                outside = outside or c._lo < 1
-                vals.append(c)
-                continue
-            c = 0
-        c = as_fraction(c)
-        if c and valuation(c, ctx) < 1:
-            raise ValueError("point must lie in (p*Z_p)^m")
-        x0 = math.lcm(x0, c.denominator)
-        vals.append(c)
-    if outside:
+        try:
+            form = _digit_form(c, spec.ctx.p)
+        except ValueError:
+            raise ValueError("coordinate prime differs from system prime") from None
+        if form is None:
+            kind = type(c).__name__
+            raise ValueError(f"coordinate must be an int, Fraction or PadicApprox, got {kind}")
+        forms.append(form)
+    if any(lo < 1 for lo, _, _, _ in forms):
         raise ValueError("point must lie in (p*Z_p)^m")
-    return x0, [
-        (0, c.numerator * (x0 // c.denominator), INF) if isinstance(c, Fraction)
-        else (c._lo, c._unit * x0 if x0 != 1 else c._unit, c._prec)
-        for c in vals
-    ]
+    x0 = math.lcm(*(den for _, _, _, den in forms))
+    return x0, [(lo, unit * (x0 // den), prec) for lo, unit, prec, den in forms]
 
 
 def _depth_split(depth: int, ell) -> tuple[int, int]:
@@ -538,6 +523,13 @@ def convergents(spec: SystemSpec, digits):
         yield vec[0] if spec.kind == ONE_DIM else vec
 
 
+def _top_exponent(p: int, iota_bound) -> int:
+    """The largest e with p**e <= iota_bound, for iota_bound >= 1: the cut
+    that branch enumeration compares exponents against, in place of powers."""
+    e = int(math.log(math.floor(iota_bound), p))  # a float log, off by at most one
+    return e + (p ** (e + 1) <= iota_bound) - (p**e > iota_bound)
+
+
 def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, int, int, int]]:
     """(d1, r_m, u, base, r, cls) for each pivot depth d1 = 1, 2, ... with a
     branch of iota <= iota_bound.
@@ -556,13 +548,14 @@ def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, in
     if spec.kind == BRUN:
         raise NotImplementedError("Brun branches are only observed, not enumerated")
     m = spec.m
+    top = _top_exponent(p, iota_bound)
     out = []
     d1 = 1
     while True:
         r_m, u = _depth_split(d1, spec.ell)
         base = m * r_m + (m + 1) * u
         r, cls = _depth_split(d1 - 1, spec.ell)
-        if p ** (base - (m - 1) * r) > iota_bound:
+        if base - (m - 1) * r > top:
             return out
         out.append((d1, r_m, u, base, r, cls))
         d1 += 1
@@ -571,9 +564,11 @@ def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, in
 def _enumerate(spec: SystemSpec, iota_bound) -> list:
     """Digits of every branch with iota <= iota_bound, unsorted."""
     p = spec.ctx.p
+    classes = _pivot_classes(spec, iota_bound)
+    top = _top_exponent(p, iota_bound)
     out = []
     options = [(0, Fraction(0))]  # a non-pivot entry: zero, or at depth 0 .. d1-1
-    for _, r_m, u, base, max_r, cls in _pivot_classes(spec, iota_bound):
+    for _, r_m, u, base, max_r, cls in classes:
         if spec.kind == ONE_DIM:
             out += [Digit1D(r_m, q) for q in digit_values(p, u)]
             continue
@@ -585,10 +580,10 @@ def _enumerate(spec: SystemSpec, iota_bound) -> list:
                     (rs + (r,), qs + (q,), expo - r)
                     for rs, qs, expo in partial
                     for r, q in options
-                    if p ** (expo - r - left * max_r) <= iota_bound
+                    if expo - r - left * max_r <= top
                 ]
             for rs, qs, expo in partial:
-                if p**expo <= iota_bound:
+                if expo <= top:
                     out.append(DigitMD(rs + (r_m,), qs + (q_m,), 1))
     return out
 
@@ -623,7 +618,9 @@ def branch_counts(spec: SystemSpec, iota_bound) -> dict[int, int]:
     p = spec.ctx.p
     counts: Counter[int] = Counter()
     slot = Counter({0: 1})  # the zero entry
-    for _, _, u, base, r, cls in _pivot_classes(spec, iota_bound):
+    classes = _pivot_classes(spec, iota_bound)
+    top = _top_exponent(p, iota_bound)
+    for _, _, u, base, r, cls in classes:
         slot[r] += (p - 1) * p**cls
         by_sum = Counter({0: (p - 1) * p**u})  # sum of non-pivot exponents -> branches
         for _ in range(spec.m - 1):
@@ -633,7 +630,7 @@ def branch_counts(spec: SystemSpec, iota_bound) -> dict[int, int]:
                     nxt[total + r_k] += n * c
             by_sum = nxt
         for total, n in by_sum.items():
-            if p ** (base - total) <= iota_bound:
+            if base - total <= top:
                 counts[base - total] += n
     return counts
 

@@ -216,8 +216,9 @@ def cmd_convergents(args, out) -> int:
         if args.point is not None:
             ords = []
             for (lo, unit, prec), c in zip(point, coords):
-                # x - c = n / (x0 * den), and x0 and den are prime to p
-                n = unit * c.denominator * p**lo - x0 * c.numerator
+                # x - c = n / (x0 * den), and x0 and den are prime to p; an
+                # exact zero has lo = inf and unit 0
+                n = (unit and unit * c.denominator * p**lo) - x0 * c.numerator
                 ords.append(min(_intval(n, p) if n else INF, prec))
             vmin = min(ords)
             cols.append("inf" if vmin == INF else str(vmin))
@@ -235,8 +236,8 @@ def _int_text(n: int) -> str:
     return f"2^{e}" if n == 1 << e else f"> 2^{e}"
 
 
-def _capped_branches(spec: SystemSpec, bound: int, what: str) -> list:
-    """enumerate_branches, if branch_counts finds at most BRANCH_CAP."""
+def _check_branch_cap(spec: SystemSpec, bound: int, what: str) -> None:
+    """Refuse a bound at which branch_counts finds more than BRANCH_CAP branches."""
     try:
         n_branches = sum(cfsystems.branch_counts(spec, bound).values())
     except NotImplementedError as exc:  # Brun
@@ -246,13 +247,21 @@ def _capped_branches(spec: SystemSpec, bound: int, what: str) -> list:
             f"argument --bound: {what} would enumerate {_int_text(n_branches)} branches at "
             f"bound {_int_text(bound)}, more than {BRANCH_CAP}; give a smaller --bound"
         )
-    return enumerate_branches(spec, bound)
 
 
 def cmd_branches(args, out) -> int:
     spec = _build_spec(args)
-    bound = spec.ctx.p**4 if args.bound is None else args.bound
-    for digit, f in _capped_branches(spec, bound, "the listing"):
+    p = spec.ctx.p
+    bound = p**4 if args.bound is None else args.bound
+    _check_branch_cap(spec, bound, "the listing")
+    top = cfsystems._top_exponent(p, bound)
+    limit = sys.get_int_max_str_digits()  # 0 for no limit
+    if limit and p**top >= 10**limit:  # iota p**top is the longest integer a record prints
+        raise CliError(
+            f"argument --bound: the listing would print iota {p}^{top}, more than the "
+            f"{limit} digits Python turns into text; give a smaller --bound"
+        )
+    for digit, f in enumerate_branches(spec, bound):
         rec = {
             "digit": digit_to_obj(digit),
             "iota": format_rational(iota(f)),
@@ -337,8 +346,8 @@ def cmd_stats(args, out) -> int:
     elif args.check == "iota-sum":
         # the literal sum over every branch against the sum of class counts
         bound = p**20 if args.bound is None else args.bound
-        branches = _capped_branches(spec, bound, "the literal iota-sum")
-        total = sum((1 / iota(f) for _, f in branches), Fraction(0))
+        _check_branch_cap(spec, bound, "the literal iota-sum")
+        total = sum((1 / iota(f) for _, f in enumerate_branches(spec, bound)), Fraction(0))
         theo = ergodics.iota_sum(spec, bound)
         rows.append(row("iota-sum", total, 0.0, theo, total == theo))
     elif args.check == "mixing":

@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import DivisionByZeroAtPrecision, NotHyperbolicError
 from .padic_core import (
     Ball,
-    PadicApprox,
     PrimeCtx,
     ProductCylinder,
     _fraction,
@@ -152,13 +151,9 @@ def apply_forward(f: LftParams, xs) -> tuple:
     if len(xs) != f.m:
         raise ValueError("dimension mismatch")
     xi = xs[f.i - 1]
-    if isinstance(xi, PadicApprox):
-        inv = xi.inverse()
-    else:
-        xi = Fraction(xi)
-        if xi == 0:
-            raise DivisionByZeroAtPrecision("pivot coordinate is zero")
-        inv = 1 / xi
+    if xi == 0:  # an exact-zero PadicApprox raises in its own inverse
+        raise DivisionByZeroAtPrecision("pivot coordinate is zero")
+    inv = Fraction(1) / xi
     s = f.s
     out = []
     for k in range(1, f.m + 1):

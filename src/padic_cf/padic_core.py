@@ -124,25 +124,45 @@ def vector_norm(xs, ctx: PrimeCtx) -> Fraction:
     return max(norm(x, ctx) for x in xs)
 
 
-def _unit_mod(x: Fraction, p: int, lo: int, ndigits: int) -> int:
+def _digit_form(x, p: int):
+    """(ord, unit, abs_prec, den) with x == p**ord * unit / den (mod
+    p**abs_prec), den prime to p and unit prime to p or 0: the one reader of
+    a value into digit form.
+
+    An int or Fraction is exact: abs_prec = inf, and the powers of p of its
+    numerator and denominator move into ord.  A PadicApprox is its own
+    integers over den = 1 (zero at precision has unit 0 and ord = abs_prec).
+    Either kind of exact zero is (inf, 0, inf, 1).  None for any other type;
+    ValueError for a PadicApprox of a prime other than p.
+    """
+    if isinstance(x, PadicApprox):
+        if x.ctx.p != p:
+            raise ValueError("operands must share the same prime")
+        return x._lo, x._unit, x._prec, 1
+    if not isinstance(x, (int, Fraction)):
+        return None
+    if not x:
+        return INF, 0, INF, 1
+    num, den = x.numerator, x.denominator
+    vn, vd = _intval(num, p), _intval(den, p)
+    return vn - vd, num // p**vn, INF, den // p**vd
+
+
+def _unit_mod(x, p: int, lo: int, ndigits: int) -> int:
     """Integer u in [0, p**ndigits) with x == p**lo * u (mod p**(lo+ndigits)).
 
     Requires valuation(x) >= lo; ndigits may be <= 0 (returns 0).
     """
-    if ndigits <= 0 or x == 0:
+    if ndigits <= 0:
         return 0
-    num, den = x.numerator, x.denominator
-    vn = _intval(num, p)
-    vd = _intval(den, p)
-    num //= p**vn
-    den //= p**vd
-    shift = (vn - vd) - lo
+    v, unit, _, den = _digit_form(x, p)
+    shift = v - lo
     if shift < 0:
         raise ValueError("valuation below requested base position")
-    if shift >= ndigits:
+    if shift >= ndigits:  # an exact zero included, at shift inf
         return 0
     m = p ** (ndigits - shift)
-    u = num % m if den == 1 else num * _inv_unit(den, p, ndigits - shift) % m
+    u = unit % m if den == 1 else unit * _inv_unit(den, p, ndigits - shift) % m
     return u * p**shift
 
 
@@ -161,10 +181,8 @@ def digit_expand(x, ctx: PrimeCtx, start: int, stop: int) -> tuple[int, ...]:
     if stop < start:
         raise ValueError("stop must be >= start")
     x = Fraction(x)
-    if x == 0:
-        return (0,) * (stop - start)
     v = valuation(x, ctx)
-    if v >= stop:
+    if v >= stop:  # zero included, at v = inf
         return (0,) * (stop - start)
     base = min(v, start)
     u = _unit_mod(x, ctx.p, base, stop - base)
@@ -229,8 +247,6 @@ class PadicApprox:
         if x == 0:
             return cls.exact_zero(ctx)
         v = valuation(x, ctx)
-        if v >= abs_prec:
-            return cls(ctx, abs_prec, 0, abs_prec)
         return cls(ctx, v, _unit_mod(x, ctx.p, v, abs_prec - v), abs_prec)
 
     # -- state ------------------------------------------------------------
@@ -259,24 +275,13 @@ class PadicApprox:
     @property
     def digits(self) -> tuple[int, ...]:
         """Digits from position ord upward; empty for either zero state."""
-        if self._exact or self._unit == 0:
+        if self._unit == 0:
             return ()
         return _digits_of(self._unit, self.ctx.p, self._prec - self._lo)
 
     def representative(self) -> Fraction:
         """The exact rational with the same digits below abs_prec and none above."""
         return _fraction(self.ctx.p, self._lo, self._unit) if self._unit else Fraction(0)
-
-    def _unit_shifted(self, lo: int, ndigits: int) -> int:
-        """Digits at positions lo .. lo+ndigits-1, packed as one integer."""
-        if self._unit == 0 or ndigits <= 0:
-            return 0
-        shift = self._lo - lo
-        if shift >= 0:
-            u = self._unit * self.ctx.p**shift
-        else:
-            u = self._unit // self.ctx.p**-shift
-        return u % self.ctx.p**ndigits
 
     def _split_at_one(self) -> tuple[Fraction, "PadicApprox"]:
         """(digits at positions <= 0 as an exact rational, the rest).
@@ -285,12 +290,10 @@ class PadicApprox:
         the generic arithmetic; requires abs_prec >= 1.  Nothing in the
         package calls it; the benchmark's span tracer wraps it by name.
         """
-        if self._exact:
-            return Fraction(0), self
         if self._prec < 1:
             raise PrecisionExhausted("digits at positions <= 0 not all determined")
         lo = self._lo
-        if lo >= 1:
+        if lo >= 1:  # the exact zero included, at lo = inf
             return Fraction(0), self
         p = self.ctx.p
         cut = 1 - lo
@@ -299,79 +302,50 @@ class PadicApprox:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_ctx(self, other: "PadicApprox"):
-        if other.ctx.p != self.ctx.p:
-            raise ValueError("operands must share the same prime")
-
     def __add__(self, other):
-        p = self.ctx.p
-        if isinstance(other, PadicApprox):
-            self._check_ctx(other)
-            if self._exact:
-                return other
-            if other._exact:
-                return self
-            prec = min(self._prec, other._prec)
-            lo = min(self._lo, other._lo)
-            ndig = prec - lo
-            if ndig <= 0:
-                return PadicApprox(self.ctx, prec, 0, prec)
-            u = self._unit_shifted(lo, ndig) + other._unit_shifted(lo, ndig)
-            return PadicApprox(self.ctx, lo, u, prec)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if self._exact:
-                return q
-            if q == 0:
-                return self
-            prec = self._prec
-            lo = min(self._lo, valuation(q, self.ctx))
-            ndig = prec - lo
-            if ndig <= 0:
-                return PadicApprox(self.ctx, prec, 0, prec)
-            u = self._unit_shifted(lo, ndig) + _unit_mod(q, p, lo, ndig)
-            return PadicApprox(self.ctx, lo, u, prec)
-        return NotImplemented
+        form = _digit_form(other, self.ctx.p)
+        if form is None:
+            return NotImplemented
+        if self._exact:
+            return other
+        olo, _, oprec, _ = form
+        if olo == INF:
+            return self
+        prec = min(self._prec, oprec)
+        lo = min(self._lo, olo)
+        ndig = prec - lo
+        if ndig <= 0:
+            return PadicApprox(self.ctx, prec, 0, prec)
+        u = _unit_mod(self, self.ctx.p, lo, ndig) + _unit_mod(other, self.ctx.p, lo, ndig)
+        return PadicApprox(self.ctx, lo, u, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self._exact:
-            return self
-        if self._unit == 0:
+        if self._unit == 0:  # either zero state
             return self
         m = self.ctx.p ** (self._prec - self._lo)
         return PadicApprox(self.ctx, self._lo, m - self._unit, self._prec)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__add__(-Fraction(other))
-        if isinstance(other, PadicApprox):
-            return self.__add__(other.__neg__())
-        return NotImplemented
+        if _digit_form(other, self.ctx.p) is None:
+            return NotImplemented
+        return self.__add__(-other)
 
     def __rsub__(self, other):
         return self.__neg__().__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, PadicApprox):
-            self._check_ctx(other)
-            if self._exact or other._exact:
-                return PadicApprox.exact_zero(self.ctx)
-            prec = min(self._prec + other._lo, other._prec + self._lo)
-            lo = self._lo + other._lo
-            u = self._unit * other._unit
-            return PadicApprox(self.ctx, lo, u, prec)
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0 or self._exact:
-                return PadicApprox.exact_zero(self.ctx)
-            vq = valuation(q, self.ctx)
-            prec = self._prec + vq
-            lo = self._lo + vq
-            u = self._unit * _unit_mod(q, self.ctx.p, vq, prec - lo)
-            return PadicApprox(self.ctx, lo, u, prec)
-        return NotImplemented
+        form = _digit_form(other, self.ctx.p)
+        if form is None:
+            return NotImplemented
+        olo, _, oprec, _ = form
+        if self._exact or olo == INF:
+            return PadicApprox.exact_zero(self.ctx)
+        prec = min(self._prec + olo, oprec + self._lo)
+        lo = self._lo + olo
+        u = self._unit * _unit_mod(other, self.ctx.p, olo, prec - lo)
+        return PadicApprox(self.ctx, lo, u, prec)
 
     __rmul__ = __mul__
 
@@ -388,19 +362,17 @@ class PadicApprox:
         return PadicApprox(self.ctx, -d, _inv_unit(self._unit, self.ctx.p, n), self._prec - 2 * d)
 
     def __truediv__(self, other):
-        if isinstance(other, PadicApprox):
-            return self.__mul__(other.inverse())
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
-                raise DivisionByZeroAtPrecision("division by exact zero")
-            return self.__mul__(1 / q)
-        return NotImplemented
+        form = _digit_form(other, self.ctx.p)
+        if form is None:
+            return NotImplemented
+        if form[0] == INF:
+            raise DivisionByZeroAtPrecision("division by exact zero")
+        return self.__mul__(Fraction(1) / other)
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.inverse().__mul__(Fraction(other))
-        return NotImplemented
+        if _digit_form(other, self.ctx.p) is None:
+            return NotImplemented
+        return self.inverse().__mul__(other)
 
     def __eq__(self, other):
         if not isinstance(other, PadicApprox):
@@ -479,10 +451,8 @@ class Ball:
 
     def contains(self, x) -> bool:
         """Exact membership for rationals; at-precision membership for approximations."""
-        if isinstance(x, PadicApprox):
-            return self.contains_digits(x._lo, x._unit, x._prec)
-        diff = x - self.center
-        return valuation(Fraction(diff), self.ctx) >= self.level
+        lo, unit, prec, den = _digit_form(x, self.ctx.p)
+        return self.contains_digits(lo, unit, prec, den)
 
     def contains_digits(self, lo: int, unit: int, prec, x0: int = 1) -> bool:
         """contains for p**lo * unit / x0 known mod p**prec: PadicApprox's
@@ -604,8 +574,7 @@ def invert_ball(b: Ball, v) -> Ball:
     kv = valuation(v, ctx)
     if kv > 0:
         raise ValueError("offset must have valuation <= 0 (and be nonzero)")
-    k = -kv
-    return Ball(ctx, 1 / (v + b.center), b.level + 2 * k)
+    return Ball(ctx, 1 / (v + b.center), b.level - 2 * kv)
 
 
 def haar_sample(ctx: PrimeCtx, n_digits: int, rng) -> PadicApprox:

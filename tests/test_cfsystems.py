@@ -78,6 +78,18 @@ class TestDigitClasses:
         assert digit_class(Fraction(-1, 2), 2) is None
         assert digit_class(Fraction(9, 4), 2) is None  # 9/4 >= 2^(2+1)/2^2... too big
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_class_against_the_digit_sum(self, p):
+        # every num/den with 0 < num, den <= 130: class n exactly for the
+        # values digit_values lists at n, and None for the rest (a class-n
+        # value has denominator p**n, so n with p**n <= 130 covers them)
+        depth = math.floor(math.log(130, p))
+        classes = {v: n for n in range(depth + 1) for v in digit_values(p, n)}
+        for num in range(-3, 131):
+            for den in range(1, 131):
+                v = Fraction(num, den)
+                assert digit_class(v, p) == classes.get(v), v
+
     @pytest.mark.parametrize("p,n", [(2, 0), (2, 1), (2, 3), (3, 0), (3, 2), (5, 1)])
     def test_value_counts(self, p, n):
         vals = list(digit_values(p, n))
@@ -680,6 +692,15 @@ class TestRefusals:
         x = PadicApprox.from_rational(Fraction(3), P3, 5)
         with pytest.raises(ValueError, match="coordinate prime differs from system prime"):
             step(SystemSpec.schneider(P2), x)
+
+    @pytest.mark.parametrize("x", [2.0, "2", None], ids=["float", "str", "none"])
+    def test_step_on_a_coordinate_that_is_no_rational(self, x):
+        # only an int, Fraction or PadicApprox reads into digit form
+        spec = SystemSpec.jacobi_perron(P2, 2)
+        with pytest.raises(ValueError, match="coordinate must be an int, Fraction or PadicApprox"):
+            step(spec, (Fraction(2), x))
+        with pytest.raises(ValueError, match="coordinate must be an int, Fraction or PadicApprox"):
+            expand(spec, (x, Fraction(2)), 0)
 
     @pytest.mark.parametrize("ord_", [-2, -1, 0])
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,14 @@ def run_cli(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+@pytest.fixture
+def int_text_limit():
+    """sys.set_int_max_str_digits for one test, the limit restored after it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
 
 
 def golden_text(name):
@@ -154,6 +163,13 @@ class TestConvergents:
             tmp_path, ["--p", "2", "--system", "schneider", "--seed", "3"], ["random:20"], xs
         )
         assert column[-1] == "21"  # N + 1, the absolute precision of random:N
+
+    def test_ord_column_with_an_exact_zero_coordinate(self, tmp_path):
+        # an exact zero reads as ord inf and unit 0; its term of ord(x - c)
+        # is ord(c), and inf once the convergent's coordinate is 0 too
+        flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2"]
+        column = self._ord_column(tmp_path, flags, ["3/5", "0"], [Fraction(3, 5), Fraction(0)])
+        assert column and column[-1] == "inf"
 
     def test_ord_column_jacobi_perron(self, tmp_path):
         xs = haar_sample_vector(PrimeCtx(3), 2, 30, random.Random(5))
@@ -315,6 +331,15 @@ class TestStats:
         rows = [json.loads(line) for line in out.strip().splitlines()]
         assert [r["check"] for r in rows] == ["digit-mean-a", "digit-mean-b"]
         assert rows[0]["theoretical"] == 1.5
+
+    def test_brun_rows_have_no_depth_parameter(self):
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "brun", "--check", "invariance",
+             "--samples", "50", "--cylinders", "1"]
+        )
+        header, row = out.splitlines()
+        assert code == 0
+        assert dict(zip(header.split(","), row.split(",")))["l"] == "-"
 
     def test_invariance_small_run(self):
         code, out = run_cli(
@@ -630,6 +655,40 @@ class TestMalformedInput:
         assert err.startswith("error: argument --bound: ")
         assert "> 2^14666 branches at bound 2^22000, more than 50000" in err
 
+    @pytest.mark.parametrize(
+        "limit,bound,listed",
+        [(4300, "2^14400", None), (640, "2^2127", None), (640, "2^2126", 2126), (0, "2^2127", 2127)],
+        ids=["default-limit", "one-digit-over", "at-the-limit", "no-limit"],
+    )
+    def test_listing_past_the_text_limit(self, capsys, int_text_limit, limit, bound, listed):
+        # Schneider p=2 lists one branch of iota 2^e for each e up to the
+        # bound, all under the branch cap.  2^2126 has 640 digits and 2^2127
+        # 641, so at a limit of 640 the first bound lists and the second is
+        # refused before any record; a limit of 0 is no limit.
+        int_text_limit(limit)
+        code, out = run_cli(["branches", "--p", "2", "--system", "schneider", "--bound", bound])
+        err = capsys.readouterr().err
+        if listed is None:
+            assert code == 2 and out == ""
+            top = bound.removeprefix("2^")
+            assert err == (
+                f"error: argument --bound: the listing would print iota 2^{top}, more than the "
+                f"{limit} digits Python turns into text; give a smaller --bound\n"
+            )
+        else:
+            assert code == 0 and err == ""
+            assert len(out.splitlines()) == listed
+
+    def test_large_bound_refused_in_linear_time(self, capsys):
+        # 100,000 branches at 2^100000: branch enumeration compares exponents
+        # with the bound's, where comparing powers of 2 with it took 21 s
+        start = time.perf_counter()
+        code, out = run_cli(["branches", "--p", "2", "--system", "schneider", "--bound", "2^100000"])
+        elapsed = time.perf_counter() - start
+        assert code == 2 and out == ""
+        assert "would enumerate 100000 branches at bound 2^100000" in capsys.readouterr().err
+        assert elapsed < 10
+
     def test_dead_shard_process(self, capsys, monkeypatch):
         from padic_cf import ergodics
 
@@ -721,8 +780,11 @@ class TestInputEdges:
              "argument --p: expected a prime, got 'x'"),
             (["branches", "--p", "2", "--system", "ruban", "--bound", "2^-1"],
              "argument --bound: exponent must be >= 0, got '2^-1'"),
+            (["expand", "--p", "2", "--system", "schneider", "random:0"],
+             "argument point: expected random:N with an integer N >= 1, got 'random:0'"),
         ],
-        ids=["two-coordinates-m1", "steps-syntax", "p-syntax", "bound-negative-exponent"],
+        ids=["two-coordinates-m1", "steps-syntax", "p-syntax", "bound-negative-exponent",
+             "random-zero-digits"],
     )
     def test_refused_value(self, capsys, argv, message):
         code, out = run_cli(argv)

@@ -121,6 +121,36 @@ class TestIotaSum:
             assert iota_sum(spec, p**b) == literal, b
             assert sum(branch_counts(spec, p**b).values()) == len(branches), b
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_top_exponent(self, p):
+        # the largest e with p**e <= bound, at, just below and just above
+        # each power, where a float log lands on either side of e
+        from padic_cf.cfsystems import _top_exponent
+
+        for e in [*range(13), 64, 1000, 4321, 100_000]:
+            pe = p**e
+            for bound in {pe, min(pe + 1, p * pe - 1), p * pe - 1}:
+                assert _top_exponent(p, bound) == e, bound
+        # Fraction bounds, the first too large for a float, and a float bound
+        assert _top_exponent(p, Fraction(p**2000, 2 * p - 1)) == 1998
+        assert _top_exponent(p, Fraction(2 * p**9 - 1, 2)) == 8
+        assert _top_exponent(p, float(p**9)) == 9
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SystemSpec.schneider(P3), SystemSpec.ruban(P2), SystemSpec.one_dim(P5, 1),
+         SystemSpec.multi_dim(P2, 1, 2), SystemSpec.jacobi_perron(P3, 2)],
+        ids=["schneider-p3", "ruban-p2", "tl1-p5", "tl1-p2-m2", "jp-p3-m2"],
+    )
+    def test_a_bound_between_powers_cuts_at_the_power_below(self, spec):
+        # branch iotas are powers of p, so every bound in [p**e, p**(e+1))
+        # keeps the branches of p**e
+        p = spec.ctx.p
+        for e in range(1, 8):
+            for bound in (p**e + 1, p ** (e + 1) - 1):
+                assert branch_counts(spec, bound) == branch_counts(spec, p**e)
+                assert enumerate_branches(spec, bound) == enumerate_branches(spec, p**e)
+
     def test_multi_dim_complete_classes(self):
         # classes of pivot valuation d carry weight (p-1)/p^d; bound p^{(m+1)D}
         # includes every class up to D

@@ -15,6 +15,8 @@ from padic_cf import (
     HyperbolicCert,
     LftParams,
     NotHyperbolicError,
+    PadicApprox,
+    PrecisionExhausted,
     PrimeCtx,
     ProductCylinder,
     apply_forward,
@@ -471,3 +473,12 @@ class TestRefusals:
     def test_forward_at_a_zero_pivot(self):
         with pytest.raises(DivisionByZeroAtPrecision, match="pivot coordinate is zero"):
             apply_forward(one_dim(P2, 2, 1), (Fraction(0),))
+
+    def test_forward_at_an_approximate_zero_pivot(self):
+        # a PadicApprox pivot is inverted by its own inverse, which refuses
+        # both zero states
+        f = one_dim(P2, 2, 1)
+        with pytest.raises(DivisionByZeroAtPrecision, match="inverse of exact zero"):
+            apply_forward(f, (PadicApprox.exact_zero(P2),))
+        with pytest.raises(PrecisionExhausted):
+            apply_forward(f, (PadicApprox(P2, 4, 0, 4),))

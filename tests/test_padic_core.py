@@ -31,7 +31,7 @@ from padic_cf import (
     valuation,
 )
 from padic_cf.cfsystems import digit_class
-from padic_cf.padic_core import _intval
+from padic_cf.padic_core import _digit_form, _intval
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -309,6 +309,81 @@ class TestApproxArithmetic:
         assert (x / y).abs_prec == min(9 - 2, (7 - 4) + 1)
 
 
+class TestDigitForm:
+    """padic_core._digit_form, the one reader of a value into the digit form
+    (ord, unit, abs_prec, den): x == p**ord * unit / den mod p**abs_prec."""
+
+    def test_exact_values(self):
+        assert _digit_form(12, 2) == (2, 3, INF, 1)
+        assert _digit_form(True, 3) == (0, 1, INF, 1)
+        # p in the denominator: a negative ord, the powers of p taken out of den
+        assert _digit_form(Fraction(-5, 12), 2) == (-2, -5, INF, 3)
+        assert _digit_form(Fraction(7, 75), 5) == (-2, 7, INF, 3)
+
+    def test_the_same_value_at_another_prime(self):
+        x = Fraction(9, 10)
+        assert _digit_form(x, 3) == (2, 1, INF, 10)
+        assert _digit_form(x, 2) == (-1, 9, INF, 5)
+        assert _digit_form(x, 5) == (-1, 9, INF, 2)
+        assert _digit_form(x, 7) == (0, 9, INF, 10)
+
+    @given(nonzero_fractions, st.sampled_from([2, 3, 5, 7]))
+    def test_exact_forms_against_the_valuation_oracle(self, x, p):
+        lo, unit, prec, den = _digit_form(x, p)
+        assert prec == INF and lo == brute_ord(x, p)
+        assert unit % p and den % p and den > 0
+        assert Fraction(unit, den) * Fraction(p) ** lo == x
+
+    def test_exact_zeros(self):
+        zeros = (0, Fraction(0), PadicApprox.exact_zero(P3), PadicApprox.from_rational(0, P3, 4))
+        for zero in zeros:
+            assert _digit_form(zero, 3) == (INF, 0, INF, 1)
+
+    def test_approximations(self):
+        x = PadicApprox.from_rational(Fraction(2, 3), P2, 6)  # digits 1,1,0,1,0 from ord 1
+        assert _digit_form(x, 2) == (1, 0b01011, 6, 1)
+        # zero at precision: only valuation >= 4 is known, so ord = abs_prec
+        assert _digit_form(PadicApprox(P3, 2, 9, 4), 3) == (4, 0, 4, 1)
+
+    def test_another_prime_and_other_types(self):
+        with pytest.raises(ValueError, match="operands must share the same prime"):
+            _digit_form(PadicApprox.from_rational(Fraction(3), P3, 5), 2)
+        for other in (0.5, 2.0, "2/3", None, complex(2)):
+            assert _digit_form(other, 2) is None
+
+    def test_operators_decline_what_the_reader_declines(self):
+        x = PadicApprox.from_rational(Fraction(2, 3), P2, 6)
+        for op in (
+            lambda: x + 0.5, lambda: 0.5 + x, lambda: x - 0.5, lambda: 0.5 - x,
+            lambda: x * 0.5, lambda: 0.5 * x, lambda: x / 0.5, lambda: 0.5 / x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_mixed_operators_against_exact_arithmetic(self, p):
+        """x op q for an approximation x and an exact int or Fraction q,
+        either side, against the exact result's digits; a zero q included."""
+        ctx, rng = PrimeCtx(p), random.Random(p)
+        for _ in range(60):
+            x = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**3) * p**2) * p ** rng.randint(0, 5)
+            q = Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+            if rng.random() < 0.3:
+                q = q.numerator
+            a = PadicApprox.from_rational(x, ctx, valuation(x, ctx) + rng.randint(1, 12))
+            cases = [(a + q, x + q), (q + a, x + q), (a - q, x - q), (q - a, q - x),
+                     (a * q, x * q), (q * a, x * q)]
+            if q:
+                cases += [(a / q, x / q), (q / a, q / x)]
+            for got, exact in cases:
+                if got.is_exact_zero:
+                    assert exact == 0
+                elif got.is_zero_at_precision:
+                    assert exact == 0 or valuation(exact, ctx) >= got.abs_prec
+                else:
+                    assert got.digits == digit_expand(exact, ctx, got.valuation(), got.abs_prec)
+
+
 class TestBallsAndMeasure:
     def test_canonical_center(self):
         b = Ball(P2, Fraction(10), 3)  # 10 = 2 + 8 reduces to 2 mod 8
@@ -320,6 +395,21 @@ class TestBallsAndMeasure:
         assert b.contains(Fraction(2))
         assert b.contains(Fraction(10))
         assert not b.contains(Fraction(4))
+
+    def test_membership_of_exact_rationals(self):
+        # contains reads a rational through _digit_form into contains_digits;
+        # the oracle is ord(x - centre) >= level in Fractions, with centres
+        # and points of negative valuation and exact zeros among them
+        rng = random.Random(7)
+        for ctx in (P2, P3, P5):
+            p = ctx.p
+            for _ in range(300):
+                level = rng.randint(1, 5)
+                b = Ball(ctx, Fraction(rng.randrange(p**6), p ** rng.randint(0, 2)), level)
+                near = Fraction(rng.randrange(-p**3, p**3), rng.choice([1, 7])) * p ** rng.randint(0, 6)
+                far = Fraction(rng.randrange(-p**6, p**6), p ** rng.randint(0, 3) * rng.choice([1, 11]))
+                x = rng.choice([b.center + near, far, 0])
+                assert b.contains(x) is (valuation(Fraction(x) - b.center, ctx) >= level)
 
     def test_membership_of_digit_triples(self):
         # oracle in Fractions: p**lo * unit + O(p**prec) misses the ball when
@@ -514,6 +604,19 @@ class TestSerialization:
         zp = PadicApprox(P2, 5, 0, 5)
         assert zp.is_zero_at_precision and zp.abs_prec == 5
         assert format_approx(zp) == "p=2;ord=?;digits=;prec=5"
+
+    def test_repr_and_hash_of_each_state(self):
+        nonzero = PadicApprox.from_rational(Fraction(2, 3), P2, 6)
+        at_precision = PadicApprox(P2, 5, 0, 5)
+        zero = PadicApprox.exact_zero(P2)
+        assert repr(nonzero) == "PadicApprox(p=2, ord=1, digits=[1, 1, 0, 1, 0], prec=6)"
+        assert repr(at_precision) == "PadicApprox(p=2, O(p^5))"
+        assert repr(zero) == "PadicApprox(p=2, 0 exactly)"
+        # equal values hash alike however they were built; the states differ
+        assert hash(nonzero) == hash(PadicApprox(P2, 0, 0b010110, 6))
+        assert hash(at_precision) == hash(PadicApprox(P2, 2, 8, 5))
+        assert hash(zero) == hash(PadicApprox.from_rational(0, P2, 9))
+        assert len({nonzero, at_precision, zero, PadicApprox(P2, 6, 0, 6)}) == 4
 
     def test_ball_round_trip(self):
         b = Ball(P3, Fraction(3), 2)
