@@ -273,14 +273,17 @@ def cmd_branches(args, out) -> int:
 
 def _parse_cylinder(spec: SystemSpec, text: str, flag: str):
     """The symbolic cylinder of a word: '(k,v)' letters separated by ';', for
-    1-D systems.  Errors name the flag."""
+    1-D systems; a part that is empty after a strip is skipped, and any other
+    part must be exactly one '(k,v)'.  Errors name the flag."""
     letters = []
     for part in text.split(";"):
-        part = part.strip().strip("()")
+        part = part.strip()
         if not part:
             continue
         try:
-            k_s, v_s = part.split(",", 1)
+            if part[0] + part[-1] != "()":
+                raise ValueError(part)
+            k_s, v_s = part[1:-1].split(",", 1)
             letters.append(Digit1D(parse_int(k_s), parse_rational(v_s)))
         except (ValueError, ZeroDivisionError):
             raise CliError(

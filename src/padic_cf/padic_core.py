@@ -148,14 +148,14 @@ def _digit_form(x, p: int):
     return vn - vd, num // p**vn, INF, den // p**vd
 
 
-def _unit_mod(x, p: int, lo: int, ndigits: int) -> int:
+def _unit_mod(form, p: int, lo: int, ndigits: int) -> int:
     """Integer u in [0, p**ndigits) with x == p**lo * u (mod p**(lo+ndigits)).
 
-    Requires valuation(x) >= lo; ndigits may be <= 0 (returns 0).
+    form is _digit_form(x, p), with valuation(x) >= lo; ndigits may be <= 0 (returns 0).
     """
     if ndigits <= 0:
         return 0
-    v, unit, _, den = _digit_form(x, p)
+    v, unit, _, den = form
     shift = v - lo
     if shift < 0:
         raise ValueError("valuation below requested base position")
@@ -180,12 +180,9 @@ def digit_expand(x, ctx: PrimeCtx, start: int, stop: int) -> tuple[int, ...]:
     are PadicApprox.digits."""
     if stop < start:
         raise ValueError("stop must be >= start")
-    x = Fraction(x)
-    v = valuation(x, ctx)
-    if v >= stop:  # zero included, at v = inf
-        return (0,) * (stop - start)
-    base = min(v, start)
-    u = _unit_mod(x, ctx.p, base, stop - base)
+    form = _digit_form(Fraction(x), ctx.p)
+    base = min(form[0], start)  # ord >= stop, the exact zero included, leaves u = 0
+    u = _unit_mod(form, ctx.p, base, stop - base)
     if start > base:
         u //= ctx.p ** (start - base)
     return _digits_of(u, ctx.p, stop - start)
@@ -202,7 +199,7 @@ class PadicApprox:
 
     Three states:
       * nonzero: finite valuation, leading digit nonzero;
-      * exact zero: valuation +inf, every digit known to be zero;
+      * exact zero: valuation and abs_prec +inf, every digit known to be zero;
       * zero at precision: all digits below abs_prec are zero but the true
         valuation is unknown (asking for it raises PrecisionExhausted).
 
@@ -210,11 +207,11 @@ class PadicApprox:
     value == p**ord * unit (mod p**abs_prec), p not dividing unit.
     """
 
-    __slots__ = ("ctx", "_lo", "_unit", "_prec", "_exact")
+    __slots__ = ("ctx", "_lo", "_unit", "_prec")
 
     def __init__(self, ctx: PrimeCtx, lo: int, unit: int, abs_prec: int):
         p = ctx.p
-        ndig = abs_prec - lo
+        ndig = abs_prec - lo if unit else 0
         unit = unit % p**ndig if ndig > 0 else 0
         if unit == 0:
             lo = abs_prec
@@ -226,47 +223,38 @@ class PadicApprox:
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_unit", unit)
         object.__setattr__(self, "_prec", abs_prec)
-        object.__setattr__(self, "_exact", False)
 
     def __setattr__(self, name, value):
         raise AttributeError("PadicApprox is immutable")
 
     @classmethod
     def exact_zero(cls, ctx: PrimeCtx) -> "PadicApprox":
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "ctx", ctx)
-        object.__setattr__(obj, "_lo", INF)
-        object.__setattr__(obj, "_unit", 0)
-        object.__setattr__(obj, "_prec", INF)
-        object.__setattr__(obj, "_exact", True)
-        return obj
+        return cls(ctx, INF, 0, INF)
 
     @classmethod
     def from_rational(cls, x, ctx: PrimeCtx, abs_prec: int) -> "PadicApprox":
-        x = Fraction(x)
-        if x == 0:
+        form = _digit_form(Fraction(x), ctx.p)
+        v = form[0]
+        if v == INF:
             return cls.exact_zero(ctx)
-        v = valuation(x, ctx)
-        return cls(ctx, v, _unit_mod(x, ctx.p, v, abs_prec - v), abs_prec)
+        return cls(ctx, v, _unit_mod(form, ctx.p, v, abs_prec - v), abs_prec)
 
     # -- state ------------------------------------------------------------
 
     @property
     def is_exact_zero(self) -> bool:
-        return self._exact
+        return self._prec == INF
 
     @property
     def is_zero_at_precision(self) -> bool:
-        return not self._exact and self._unit == 0
+        return self._unit == 0 and self._prec != INF
 
     @property
     def abs_prec(self):
         return self._prec
 
     def valuation(self):
-        if self._exact:
-            return INF
-        if self._unit == 0:
+        if self._unit == 0 and self._prec != INF:
             raise PrecisionExhausted(
                 f"indistinguishable from zero below position {self._prec}"
             )
@@ -306,7 +294,7 @@ class PadicApprox:
         form = _digit_form(other, self.ctx.p)
         if form is None:
             return NotImplemented
-        if self._exact:
+        if self._lo == INF:
             return other
         olo, _, oprec, _ = form
         if olo == INF:
@@ -316,7 +304,8 @@ class PadicApprox:
         ndig = prec - lo
         if ndig <= 0:
             return PadicApprox(self.ctx, prec, 0, prec)
-        u = _unit_mod(self, self.ctx.p, lo, ndig) + _unit_mod(other, self.ctx.p, lo, ndig)
+        p = self.ctx.p
+        u = _unit_mod(_digit_form(self, p), p, lo, ndig) + _unit_mod(form, p, lo, ndig)
         return PadicApprox(self.ctx, lo, u, prec)
 
     __radd__ = __add__
@@ -340,18 +329,18 @@ class PadicApprox:
         if form is None:
             return NotImplemented
         olo, _, oprec, _ = form
-        if self._exact or olo == INF:
+        if self._lo == INF or olo == INF:
             return PadicApprox.exact_zero(self.ctx)
         prec = min(self._prec + olo, oprec + self._lo)
         lo = self._lo + olo
-        u = self._unit * _unit_mod(other, self.ctx.p, olo, prec - lo)
+        u = self._unit * _unit_mod(form, self.ctx.p, olo, prec - lo)
         return PadicApprox(self.ctx, lo, u, prec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PadicApprox":
         """Multiplicative inverse; loses 2*ord digits of absolute precision."""
-        if self._exact:
+        if self._prec == INF:
             raise DivisionByZeroAtPrecision("inverse of exact zero")
         if self._unit == 0:
             raise PrecisionExhausted(
@@ -379,17 +368,16 @@ class PadicApprox:
             return NotImplemented
         return (
             self.ctx.p == other.ctx.p
-            and self._exact == other._exact
             and self._lo == other._lo
             and self._unit == other._unit
             and self._prec == other._prec
         )
 
     def __hash__(self):
-        return hash((self.ctx.p, self._lo, self._unit, self._prec, self._exact))
+        return hash((self.ctx.p, self._lo, self._unit, self._prec))
 
     def __repr__(self):
-        if self._exact:
+        if self._prec == INF:
             return f"PadicApprox(p={self.ctx.p}, 0 exactly)"
         if self._unit == 0:
             return f"PadicApprox(p={self.ctx.p}, O(p^{self._prec}))"
@@ -411,9 +399,9 @@ class Ball:
     def __init__(self, ctx: PrimeCtx, center, level: int):
         if level < 1:
             raise ValueError("ball level must be >= 1")
-        c = center if isinstance(center, (int, Fraction)) else Fraction(center)
-        lo = min(valuation(c, ctx), level)
-        unit = _unit_mod(c, ctx.p, lo, level - lo)
+        form = _digit_form(as_fraction(center), ctx.p)
+        lo = min(form[0], level)
+        unit = _unit_mod(form, ctx.p, lo, level - lo)
         object.__setattr__(self, "__dict__", {"ctx": ctx, "level": level, "_clo": lo, "_cunit": unit})
 
     @classmethod
@@ -451,8 +439,10 @@ class Ball:
 
     def contains(self, x) -> bool:
         """Exact membership for rationals; at-precision membership for approximations."""
-        lo, unit, prec, den = _digit_form(x, self.ctx.p)
-        return self.contains_digits(lo, unit, prec, den)
+        form = _digit_form(x, self.ctx.p)
+        if form is None:
+            raise TypeError(f"cannot test membership of {type(x).__name__}")
+        return self.contains_digits(*form)
 
     def contains_digits(self, lo: int, unit: int, prec, x0: int = 1) -> bool:
         """contains for p**lo * unit / x0 known mod p**prec: PadicApprox's

@@ -482,6 +482,21 @@ class TestMalformedInput:
         assert "argument --wordA:" in err and "unpack" not in err
 
     @pytest.mark.parametrize(
+        "word", [")1,1(", "((1,1", "1,1)", "1,1", "()"],
+        ids=["reversed", "unclosed", "unopened", "bare", "empty-letter"],
+    )
+    def test_word_letter_is_one_bracketed_pair(self, capsys, word):
+        """A part of a word that is not empty after a strip is exactly one
+        '(k,v)'; brackets are not stripped off it."""
+        code, out = run_cli(
+            ["stats", "--p", "2", "--system", "schneider", "--check", "mixing",
+             "--wordA", word, "--wordB", "(2,1)", "--n", "2"]
+        )
+        assert code == 2 and out == ""
+        assert (f"argument --wordA: expected '(k,v)' letters separated by ';', got {word!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["expand", "--p", "2", "--system", "schneider", "2_0/3"],

@@ -1,5 +1,6 @@
 """Core arithmetic: valuations, digits, truncated numbers, balls, sampling."""
 
+import collections
 import copy
 import itertools
 import math
@@ -30,6 +31,7 @@ from padic_cf import (
     parse_rational,
     valuation,
 )
+from padic_cf import padic_core
 from padic_cf.cfsystems import digit_class
 from padic_cf.padic_core import _digit_form, _intval
 
@@ -360,6 +362,33 @@ class TestDigitForm:
             with pytest.raises(TypeError):
                 op()
 
+    @pytest.mark.parametrize(
+        "call,reader,count",
+        [
+            (lambda x, q: x + q, "_digit_form", 2),
+            (lambda x, q: x * q, "_digit_form", 1),
+            (lambda x, q: x - q, "_digit_form", 3),
+            (lambda x, q: PadicApprox.from_rational(q, P3, 6), "_intval", 3),
+            (lambda x, q: Ball(P3, q, 4), "_intval", 2),
+            (lambda x, q: digit_expand(q, P3, 0, 5), "_intval", 2),
+        ],
+        ids=["add", "mul", "sub", "from-rational", "ball", "digit-expand"],
+    )
+    def test_each_value_is_read_once(self, monkeypatch, call, reader, count):
+        """A sum reads each operand once, a product its other operand once and
+        a difference its operand once more for the check; from_rational, Ball
+        and digit_expand read the rational's numerator and denominator once
+        (from_rational's new unit is one more _intval)."""
+        x, q = PadicApprox(P3, 1, 7, 9), Fraction(5, 21)
+        calls = collections.Counter()
+        for name in ("_digit_form", "_intval"):
+            def counted(*args, _name=name, _f=getattr(padic_core, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(padic_core, name, counted)
+        call(x, q)
+        assert calls[reader] == count
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_mixed_operators_against_exact_arithmetic(self, p):
         """x op q for an approximation x and an exact int or Fraction q,
@@ -617,6 +646,13 @@ class TestSerialization:
         assert hash(at_precision) == hash(PadicApprox(P2, 2, 8, 5))
         assert hash(zero) == hash(PadicApprox.from_rational(0, P2, 9))
         assert len({nonzero, at_precision, zero, PadicApprox(P2, 6, 0, 6)}) == 4
+        # the exact zero is the one value of infinite precision, however built
+        built = PadicApprox(P2, INF, 0, INF)
+        assert built == zero and hash(built) == hash(zero) and built.is_exact_zero
+        assert PadicApprox.from_rational(0, P2, 4) == zero
+        assert PadicApprox(P2, 4, 0, 4) != zero and PadicApprox(P2, 4, 0, 4).is_zero_at_precision
+        assert not PadicApprox(P2, 4, 0, 4).is_exact_zero
+        assert PadicApprox.__slots__ == ("ctx", "_lo", "_unit", "_prec")
 
     def test_ball_round_trip(self):
         b = Ball(P3, Fraction(3), 2)
@@ -641,10 +677,17 @@ class TestRefusals:
             (lambda: PadicApprox.from_rational(Fraction(2), P2, 5)
              + PadicApprox.from_rational(Fraction(3), P3, 5),
              ValueError, "operands must share the same prime"),
+            (lambda: Ball(P3, Fraction(1, 2), 3).contains(2.5), TypeError,
+             "cannot test membership of float"),
+            (lambda: Ball(P3, Fraction(1, 2), 3).contains("1/2"), TypeError,
+             "cannot test membership of str"),
+            (lambda: ProductCylinder((Ball(P3, Fraction(1, 2), 3),)).contains((2.5,)),
+             TypeError, "cannot test membership of float"),
         ],
         ids=["ball-level-0", "empty-cylinder", "mixed-primes", "contains-dimension",
              "measure-non-cylinder", "invert-outside-pZp", "sample-no-digits",
-             "expand-stop-before-start", "sum-two-primes"],
+             "expand-stop-before-start", "sum-two-primes", "contains-float", "contains-str",
+             "cylinder-contains-float"],
     )
     def test_refused(self, call, error, match):
         with pytest.raises(error, match=match):
