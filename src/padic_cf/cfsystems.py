@@ -62,11 +62,12 @@ EXHAUSTED = "precision-exhausted"
 
 def digit_class(v, p: int) -> int | None:
     """Class N of an admissible digit value: v = sum_{i=-N}^0 c_i p**i with
-    leading digit nonzero.  None when v is not of this shape."""
+    leading digit nonzero.  None when v is not of this shape, a v <= 0
+    told by its integer numerator included."""
     v = as_fraction(v)
-    if v <= 0:
-        return None
     num, den = v.numerator, v.denominator
+    if num <= 0:
+        return None
     n = _intval(den, p)  # class n needs den = p**n and num < p**(n + 1)
     if den != p**n or num >= p * den:
         return None

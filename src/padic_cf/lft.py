@@ -53,7 +53,7 @@ class LftParams:
             raise ValueError("sigma must be a permutation of 1..m")
         if len(self.pvec) != self.m or len(self.qvec) != self.m:
             raise ValueError("pvec and qvec must have length m")
-        if any(v == 0 for v in self.pvec):
+        if not all(self.pvec):
             raise ValueError("pvec entries must be nonzero")
 
     @property
@@ -98,20 +98,20 @@ def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
     if any(o < 0 for o in pord):
         raise NotHyperbolicError(1, "some ord(p_k) < 0")
     s = f.s
-    qs = f.qvec[s - 1]
-    if qs == 0 or valuation(qs, ctx) > 0:
+    qord = [valuation(q, ctx) for q in f.qvec]  # q_k = 0 reads +inf
+    if qord[s - 1] > 0:
         raise NotHyperbolicError(2, "ord(q_s) <= 0 required")
-    u = -valuation(qs, ctx)
+    u = -qord[s - 1]
     v = pord[s - 1]
     if v + u <= 0:
         raise NotHyperbolicError(2, "ord(p_s/q_s) > 0 required")
     for k in range(1, f.m + 1):
         if k == s:
             continue
-        qk = f.qvec[k - 1]
         ak = pord[k - 1]
-        if qk != 0 and valuation(qk, ctx) <= 0:
-            if (v + u) - (ak - valuation(qk, ctx)) <= 0:
+        bk = qord[k - 1]
+        if bk <= 0:
+            if (v + u) - (ak - bk) <= 0:
                 raise NotHyperbolicError(3, f"coordinate {k}")
         else:
             # ord(q_k) > 0, including q_k = 0 (whose ord is +inf)

@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import DivisionByZeroAtPrecision, PrecisionExhausted
 
@@ -100,15 +100,17 @@ def as_fraction(x) -> Fraction:
 
 
 def valuation(x, ctx: PrimeCtx):
-    """p-adic valuation of an exact rational; math.inf for zero.
+    """p-adic valuation of an exact rational; math.inf for zero, which is
+    told by its integer numerator.
 
     An approximation answers through PadicApprox.valuation.
     """
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
-    if x == 0:
+    num = x.numerator
+    if not num:
         return INF
-    return _intval(x.numerator, ctx.p) - _intval(x.denominator, ctx.p)
+    return _intval(num, ctx.p) - _intval(x.denominator, ctx.p)
 
 
 def norm(x, ctx: PrimeCtx) -> Fraction:
@@ -198,7 +200,8 @@ class PadicApprox:
     """Truncated p-adic number: every digit at a position < abs_prec is known.
 
     Three states:
-      * nonzero: finite valuation, leading digit nonzero;
+      * nonzero: finite valuation and abs_prec, leading digit nonzero (a
+        nonzero unit at abs_prec = inf raises ValueError);
       * exact zero: valuation and abs_prec +inf, every digit known to be zero;
       * zero at precision: all digits below abs_prec are zero but the true
         valuation is unknown (asking for it raises PrecisionExhausted).
@@ -210,6 +213,8 @@ class PadicApprox:
     __slots__ = ("ctx", "_lo", "_unit", "_prec")
 
     def __init__(self, ctx: PrimeCtx, lo: int, unit: int, abs_prec: int):
+        if unit and abs_prec == INF:
+            raise ValueError(f"a nonzero PadicApprox needs a finite abs_prec, got {abs_prec}")
         p = ctx.p
         ndig = abs_prec - lo if unit else 0
         unit = unit % p**ndig if ndig > 0 else 0
@@ -237,6 +242,8 @@ class PadicApprox:
         v = form[0]
         if v == INF:
             return cls.exact_zero(ctx)
+        if abs_prec == INF:
+            raise ValueError(f"a nonzero PadicApprox needs a finite abs_prec, got {abs_prec}")
         return cls(ctx, v, _unit_mod(form, ctx.p, v, abs_prec - v), abs_prec)
 
     # -- state ------------------------------------------------------------
@@ -408,9 +415,13 @@ class Ball:
     def _from_residue(cls, ctx: PrimeCtx, z: int, level: int) -> "Ball":
         """Ball(ctx, z, level) for an integer 0 <= z < p**level."""
         ball = object.__new__(cls)
-        lo = _intval(z, ctx.p) if z else level
-        unit = z // ctx.p**lo
-        object.__setattr__(ball, "__dict__", {"ctx": ctx, "level": level, "_clo": lo, "_cunit": unit})
+        p = ctx.p
+        lo = _intval(z, p) if z else level
+        fields = ball.__dict__  # filled in place: Ball.__setattr__ refuses
+        fields["ctx"] = ctx
+        fields["level"] = level
+        fields["_clo"] = lo
+        fields["_cunit"] = z // p**lo
         return ball
 
     @cached_property
@@ -538,16 +549,23 @@ class ProductCylinder:
         return tuple(b.random_element(rng, depth) for b in self.balls)
 
 
+@lru_cache(maxsize=256)
+def _haar(p: int, k: int) -> Fraction:
+    """Fraction(1, p**k), one shared value per (p, k) while it stays cached."""
+    return Fraction(1, p**k)
+
+
 def measure(obj) -> Fraction:
     """Haar measure normalised so that a level-1 ball has measure 1.
 
     A level-n ball has measure p**(1-n); a product cylinder multiplies over
-    coordinates.
+    coordinates.  Equal measures are one shared Fraction, from a bounded
+    cache on (p, exponent).
     """
     if isinstance(obj, Ball):
-        return Fraction(1, obj.ctx.p ** (obj.level - 1))
+        return _haar(obj.ctx.p, obj.level - 1)
     if isinstance(obj, ProductCylinder):
-        return Fraction(1, obj.ctx.p ** sum(b.level - 1 for b in obj.balls))
+        return _haar(obj.ctx.p, sum(b.level - 1 for b in obj.balls))
     raise TypeError(f"cannot measure {type(obj).__name__}")
 
 
@@ -593,7 +611,7 @@ def haar_sample_vector(ctx: PrimeCtx, m: int, n_digits: int, rng) -> tuple[Padic
 
 
 def format_rational(x) -> str:
-    x = Fraction(x)
+    x = as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 

@@ -74,6 +74,27 @@ class TestHyperbolicity:
             certify_hyperbolic(LftParams(PrimeCtx(3), 1, 1, (1,), (1,), (1,)))
         assert exc.value.condition == 2
 
+    def test_q_s_of_positive_valuation_fails_condition_two(self):
+        # ord(q_s) = 1 > 0 although ord(p_s/q_s) = 2 > 0
+        for qs in (Fraction(2), Fraction(-6, 5), Fraction(4, 3)):
+            with pytest.raises(NotHyperbolicError, match=r"ord\(q_s\) <= 0 required") as exc:
+                certify_hyperbolic(one_dim(P2, 8, qs))
+            assert exc.value.condition == 2
+
+    def test_q_k_of_positive_valuation_takes_condition_four(self):
+        # m = 2, i = 1, sigma = (2, 1): s = 2 with v + u = 1; q_1 = 2 or 6/5 has
+        # ord 1, so coordinate 1 needs ord(p_1) < v + u, whatever ord(q_1) is
+        sigma = (2, 1)
+        for q1 in (Fraction(2), Fraction(6, 5)):
+            for p1 in (Fraction(2), Fraction(4, 3)):  # ord(p_1) >= v + u
+                bad = LftParams(P2, 2, 1, sigma, (p1, Fraction(2)), (q1, Fraction(1)))
+                with pytest.raises(NotHyperbolicError, match=r"\(iv\) failed \(coordinate 1\)") as exc:
+                    certify_hyperbolic(bad)
+                assert exc.value.condition == 4
+            good = LftParams(P2, 2, 1, sigma, (Fraction(3), Fraction(2)), (q1, Fraction(1)))
+            cert = certify_hyperbolic(good)
+            assert (cert.u, cert.v, cert.h) == (0, 1, 1)
+
     def test_ruban_branch(self):
         cert = certify_hyperbolic(one_dim(P2, 1, Fraction(1, 2)))
         assert (cert.u, cert.v) == (1, 0)

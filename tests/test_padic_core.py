@@ -108,6 +108,24 @@ class TestValuationAndNorm:
                 for n in (u * p**e, -u * p**e):
                     assert _intval(n, p) == loop(n), (n, p)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_valuation_matches_the_division_loop(self, p):
+        # ints and Fractions of either sign, zero and sizes up to p**3000:
+        # the zero test reads the numerator, never Fraction's comparison
+        ctx = PrimeCtx(p)
+        assert valuation(0, ctx) == valuation(Fraction(0), ctx) == valuation(False, ctx) == INF
+        rng = random.Random(25 + p)
+        units = [1, p - 1, p + 1, *(rng.randrange(1, 10**30) for _ in range(6))]
+        units = [u for u in units if u % p]
+        for e in (0, 1, 2, 7, 64, 3000):
+            for u in units:
+                for sign in (1, -1):
+                    n = sign * u * p**e
+                    assert valuation(n, ctx) == brute_ord(Fraction(n), p) == e
+                    for d in (units[-1], p ** (e + 1) * units[-1]):
+                        x = Fraction(n, d)
+                        assert valuation(x, ctx) == brute_ord(x, p), (x, p)
+
     def test_norm_examples(self):
         assert norm(Fraction(0), P2) == 0
         assert norm(Fraction(2, 3), P2) == Fraction(1, 2)
@@ -254,6 +272,22 @@ class TestApproxArithmetic:
         assert z + Fraction(1, 3) == Fraction(1, 3)  # exact + exact stays exact
         with pytest.raises(DivisionByZeroAtPrecision):
             z.inverse()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_nonzero_at_infinite_precision_is_refused(self, p):
+        # only the exact zero has abs_prec = inf; a nonzero unit there would
+        # read as the exact zero with a float unit
+        ctx = PrimeCtx(p)
+        for unit in (1, p - 1, -1, p + 1, 10**40 + 1):
+            for lo in (-2, 0, 1):
+                with pytest.raises(ValueError, match="finite abs_prec, got inf"):
+                    PadicApprox(ctx, lo, unit, INF)
+        for x in (1, -1, Fraction(1, p), Fraction(-p * p, 7), Fraction(p**50 + 1, p + 1)):
+            with pytest.raises(ValueError, match="finite abs_prec, got inf"):
+                PadicApprox.from_rational(x, ctx, INF)
+        zero = PadicApprox.exact_zero(ctx)
+        assert zero.is_exact_zero and zero.valuation() == INF
+        assert PadicApprox.from_rational(0, ctx, INF) == zero == PadicApprox(ctx, 3, 0, INF)
 
     @given(
         nonzero_fractions,
@@ -547,6 +581,32 @@ class TestBallsAndMeasure:
                     product *= measure(b)
                 assert measure(ProductCylinder(balls)) == product
 
+    def test_measure_is_one_shared_haar_value(self):
+        rng = random.Random(25)
+        for ctx in (P2, P3, P5):
+            p = ctx.p
+            for _ in range(40):
+                balls = tuple(
+                    Ball(ctx, Fraction(rng.randrange(99), rng.randint(1, 9)), rng.randint(1, 6))
+                    for _ in range(rng.randint(1, 4))
+                )
+                c = ProductCylinder(balls)
+                want = Fraction(1, p ** sum(b.level - 1 for b in balls))
+                assert measure(c) == want
+                # equal exponents share one value: the reversed product, or one
+                # ball at the summed level
+                assert measure(c) is measure(ProductCylinder(balls[::-1]))
+                assert measure(c) is measure(Ball(ctx, 0, 1 + sum(b.level - 1 for b in balls)))
+                for b in balls:
+                    assert measure(b) == Fraction(1, p ** (b.level - 1))
+
+    def test_measure_cache_stays_at_its_bound(self):
+        bound = padic_core._haar.cache_info().maxsize
+        assert bound is not None
+        for k in range(bound + 40):
+            assert measure(Ball(P3, 0, k + 1)) == Fraction(1, 3**k)
+        assert padic_core._haar.cache_info().currsize == bound
+
     def test_invert_ball_unit_case(self):
         out = invert_ball(Ball(P2, Fraction(0), 1), Fraction(1))
         assert out == Ball(P2, Fraction(1), 1)
@@ -619,6 +679,7 @@ class TestHaarSampling:
 class TestSerialization:
     def test_rational_round_trip(self):
         assert format_rational(Fraction(-4, 6)) == "-2/3"
+        assert format_rational(-7) == "-7/1" and format_rational(True) == "1/1"
         assert parse_rational("-2/3") == Fraction(-2, 3)
         assert parse_rational("7") == 7
 
