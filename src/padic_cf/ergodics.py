@@ -23,6 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .cfsystems import (
     ONE_DIM,
@@ -46,6 +47,7 @@ from .padic_core import (
     PrimeCtx,
     ProductCylinder,
     _intval,
+    _uniform_below,
     measure,
 )
 
@@ -261,7 +263,9 @@ def digit_mean_reports(
     conditioned on the completed digits; 2*done < n_samples*n_steps raises
     InsufficientData (_require_half).  Shards sum w and w*w of each digit
     a = w/p**c as integers per class c; the caller builds each exact total
-    once with _power_sum, and floats appear only in the reports.
+    once with _power_sum, and floats appear only in the reports.  A shard's
+    starting points are haar_sample's at `precision` digits, read from one
+    padic_core._uniform_below generator on its seeded Random.
     """
     if spec.kind != ONE_DIM:
         raise ValueError("digit observables are defined for one-dimensional systems")
@@ -276,16 +280,16 @@ def digit_mean_reports(
 
     def run_shard(args):
         shard_seed, shard_samples = args
-        draw = random.Random(shard_seed).randrange
+        draws = _uniform_below(random.Random(shard_seed), top)
         sum_w = {}  # digit class c -> sum of w over its steps, a = w / p**c
         sum_w_sq = {}
         tot_b = 0
         tot_b_sq = 0
         count = 0
         dropped = 0
-        for _ in range(shard_samples):
-            # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
-            x0, point = 1, [(1, draw(top), precision + 1)]
+        # haar_sample's draws: digits 1 .. precision, abs_prec precision + 1
+        for u in islice(draws, shard_samples):
+            x0, point = 1, [(1, u, precision + 1)]
             for _ in range(n_steps):
                 try:
                     _, pexp, entries, x0, point = step_core(spec, x0, point)
@@ -340,14 +344,15 @@ def _cylinder_mc(
 ) -> StatReport:
     """Fraction of Haar samples x (preimage: of their images T(x)) in c.
 
-    Samples are haar_sample_vector's draws at L + 48 digits, L = max(c.levels):
-    coordinate k is p * u_k, kept as the step_core triple (1, u_k, L + 49)
-    over x0 = 1.  A preimage sample is stepped once, and its image is tested
-    with ProductCylinder.contains_digits over the step's denominator x0'.  A
-    sample whose step or membership test raises is dropped, so the estimate
-    is conditioned on the completed samples: n_samples is the count done,
-    n_dropped the rest, and 2*done < n_samples raises InsufficientData
-    (_require_half).
+    Samples are haar_sample_vector's draws at L + 48 digits, L = max(c.levels),
+    read m at a time from one padic_core._uniform_below generator on the
+    shard's seeded Random: coordinate k is p * u_k, kept as the step_core
+    triple (1, u_k, L + 49) over x0 = 1.  A preimage sample is stepped once,
+    and its image is tested with ProductCylinder.contains_digits over the
+    step's denominator x0'.  A sample whose step or membership test raises
+    is dropped, so the estimate is conditioned on the completed samples:
+    n_samples is the count done, n_dropped the rest, and 2*done < n_samples
+    raises InsufficientData (_require_half).
 
     Each shard memoises the outcome (hit, miss or dropped) on the sample's
     key, the residues u_k mod p**(v_k + L + o_1) with v_k = o_k - 1 the
@@ -373,16 +378,16 @@ def _cylinder_mc(
 
     def run_shard(args):
         shard_seed, shard_samples = args
-        draw = random.Random(shard_seed).randrange
+        draws = _uniform_below(random.Random(shard_seed), top)
         outcomes = {}  # key -> True (hit), False (miss) or None (dropped)
         unseen = object()
         hits = 0
         done = 0
-        for _ in range(shard_samples):
+        # haar_sample_vector's draws, m at a time: digits 1 .. precision,
+        # abs_prec precision + 1
+        for units in islice(zip(*[draws] * m), shard_samples):
             residues = []
-            for _ in range(m):
-                # haar_sample's draw: digits 1 .. precision, abs_prec precision + 1
-                u = draw(top)
+            for u in units:
                 v = _intval(u, p) if u else precision  # o_k - 1
                 if not residues:
                     shift = level + 1 + v  # L + o_1

@@ -585,18 +585,39 @@ def invert_ball(b: Ball, v) -> Ball:
     return Ball(ctx, 1 / (v + b.center), b.level - 2 * kv)
 
 
+def _uniform_below(rng: random.Random, n: int):
+    """Endless draws uniform on 0..n-1 (n >= 1): the values rng.randrange(n)
+    would return, call after call, and with rng advanced alike.
+
+    It repeats CPython's randrange for a generator that draws through
+    getrandbits (every Random, unless a subclass overrides random() alone):
+    getrandbits(n.bit_length()) until the value is below n.  Python does not
+    promise to keep that algorithm across versions, so tests/test_padic_core.py
+    pins the stream to randrange's.  A draw is made only when the next value
+    is asked for, so rng is never read ahead and may be shared with later
+    calls.
+    """
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    while True:
+        u = getrandbits(k)
+        if u < n:
+            yield u
+
+
 def haar_sample(ctx: PrimeCtx, n_digits: int, rng) -> PadicApprox:
     """Uniform sample from p*Z_p truncated at n_digits digits.
 
     Digits at positions 1..n_digits are i.i.d. uniform, so abs_prec is
     n_digits + 1.  `rng` is either an int seed or a random.Random instance
-    (which is advanced by exactly one draw, allowing sequential composition).
+    (which is advanced by exactly one draw of _uniform_below, the value
+    rng.randrange(p**n_digits) would give, allowing sequential composition).
     """
     if n_digits < 1:
         raise ValueError("need at least one digit")
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    u = rng.randrange(ctx.p**n_digits)
+    u = next(_uniform_below(rng, ctx.p**n_digits))
     return PadicApprox(ctx, 1, u, n_digits + 1)
 
 

@@ -227,6 +227,26 @@ class TestTheoreticalMeans:
             assert total_a + Fraction(p, 2) * (1 - covered) == mean_a
             assert mean_b - total_b < Fraction(1, p**8)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_schneider_second_moments_from_branch_weights(self, p):
+        # Schneider's a is uniform on 1..p-1 and b geometric, P(b = k) =
+        # (p-1)/p**k, so Var a = (p*p - 2p)/12 and Var b = p/(p-1)**2.  The
+        # branches with iota <= p**K are those with b <= K, and the omitted
+        # ones carry the tail P(b > K) = p**-K.  Given b > K, a is still
+        # uniform and b - K geometric, so moments conditioned on the branches
+        # found move Var a not at all and Var b by at most
+        # tail * ((K + 2)**2 + 2) < tail * (K + 3)**2.
+        K = 16
+        spec = SystemSpec.schneider(PrimeCtx(p))
+        weights = [(1 / iota(f), d.v, d.k) for d, f in enumerate_branches(spec, p**K)]
+        covered = sum(w for w, _, _ in weights)
+        tail = 1 - covered
+        assert tail == Fraction(1, p**K)
+        for at, var in ((1, Fraction(p * p - 2 * p, 12)), (2, Fraction(p, (p - 1) ** 2))):
+            mean = sum(e[0] * e[at] for e in weights) / covered
+            mean_sq = sum(e[0] * e[at] ** 2 for e in weights) / covered
+            assert abs(mean_sq - mean * mean - var) <= tail * (K + 3) ** 2, at
+
 
 class TestBirkhoff:
     def test_p2_schneider_degenerate_a(self):

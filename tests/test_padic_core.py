@@ -24,6 +24,7 @@ from padic_cf import (
     format_approx,
     format_rational,
     haar_sample,
+    haar_sample_vector,
     integral_part,
     invert_ball,
     measure,
@@ -658,6 +659,38 @@ class TestHaarSampling:
         for _ in range(200):
             s = haar_sample(P2, 20, rng)
             assert s.is_zero_at_precision or s.valuation() >= 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_uniform_below_replays_randrange(self, p):
+        # the Monte Carlo drivers and haar_sample draw through _uniform_below,
+        # which repeats CPython's randrange algorithm; every report rests on
+        # its stream being randrange's, value for value, at p**k (a power of
+        # 2 at p = 2, where a wrong bit count or no rejection shows at once)
+        # and at a bound of no special form
+        bounds = [p**k for k in (*range(1, 61), 800)] + [10**9 + 7]
+        for seed in range(25):
+            for n in bounds:
+                draws = padic_core._uniform_below(random.Random(seed), n)
+                rng = random.Random(seed)
+                assert list(itertools.islice(draws, 4)) == [rng.randrange(n) for _ in range(4)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_shared_random_continues_as_randrange(self, p):
+        # a Random shared with later randrange calls, as haar_sample_vector's
+        # caller shares it, is advanced exactly as randrange would advance it
+        ctx = PrimeCtx(p)
+        for seed in range(25):
+            shared, reference = random.Random(seed), random.Random(seed)
+            for m, n in ((3, 50), (1, 1), (2, 800)):
+                units = [reference.randrange(p**n) for _ in range(m)]
+                xs = haar_sample_vector(ctx, m, n, shared)
+                assert xs == tuple(PadicApprox(ctx, 1, u, n + 1) for u in units)
+                assert haar_sample(ctx, n, shared) == PadicApprox(
+                    ctx, 1, reference.randrange(p**n), n + 1
+                )
+                draws = padic_core._uniform_below(shared, p**n)
+                assert next(draws) == reference.randrange(p**n)
+                assert shared.randrange(10**6) == reference.randrange(10**6)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_leading_zero_statistics(self, p):
