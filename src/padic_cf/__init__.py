@@ -23,25 +23,19 @@ from .padic_core import (
     haar_sample,
     haar_sample_vector,
     integral_part,
-    invert_ball,
     is_prime,
     measure,
     norm,
     parse_rational,
     valuation,
-    vector_norm,
 )
 from .lft import (
     HyperbolicCert,
     LftParams,
-    apply_forward,
     apply_inverse,
     certify_hyperbolic,
-    inverse_matrix,
     iota,
     preimage_cylinder,
-    random_hyperbolic,
-    sufficient_hyperbolic,
 )
 from .cfsystems import (
     Digit1D,
@@ -71,7 +65,6 @@ from .ergodics import (
     membership_mc,
     mixing_exact,
     random_cylinder,
-    random_word,
     theoretical_digit_means,
 )
 

@@ -472,8 +472,11 @@ def convergent(spec: SystemSpec, digits):
 
 
 def _branch_matrix(spec: SystemSpec, d):
-    """lft.inverse_matrix(branch_lft(spec, d)) times p**E, the lcm of its
-    denominators, built on integers from a digit pivot_valuation accepted.
+    """The homogeneous matrix M of branch_lft(spec, d)'s inverse branch
+    times p**E, the lcm of its denominators, built on integers from a digit
+    pivot_valuation accepted.  With y = (Y_1/Y_0, ..., Y_m/Y_0) and X = M Y,
+    X_k/X_0 is lft.apply_inverse's image of y, so composing inverse branches
+    is multiplying their matrices.
 
     With p_k = p**r_k, q_k = n_k / p**c_k (c_k = 0 for q_k = 0) and
     s = sigma^-1(i), E = max(0, c_s, max_{t != s}(r_t + c_t - r_s)), so

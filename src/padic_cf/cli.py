@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -398,6 +399,13 @@ _RUN_FLAGS = {
 }
 
 
+# argparse reads a token that starts with '-' as an option unless it matches
+# the parser's negative-number pattern, by default only '-N' and '-N.N'.  The
+# parsers that take points widen it to any '-' then a digit, so a coordinate
+# such as -6/5 is a value; none of their flags starts that way.
+_NEGATIVE_VALUE = re.compile(r"^-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-cf",
@@ -419,10 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **_RUN_FLAGS[flag])
 
     sp_expand = sub.add_parser("expand", help="emit the digit stream of a point")
+    sp_expand._negative_number_matcher = _NEGATIVE_VALUE
     common(sp_expand, "--seed", "--steps")
     sp_expand.add_argument("point", nargs="+", help="'num/den' per coordinate or random:N")
 
     sp_conv = sub.add_parser("convergents", help="exact convergents of a digit file")
+    sp_conv._negative_number_matcher = _NEGATIVE_VALUE
     common(sp_conv, "--seed")
     sp_conv.add_argument("digits", help="JSON-lines digit file, or - for stdin")
     sp_conv.add_argument(

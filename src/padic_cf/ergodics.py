@@ -30,7 +30,6 @@ from .cfsystems import (
     SystemSpec,
     branch_counts,
     branch_lft,
-    enumerate_branches,
     step_core,
 )
 from .errors import (
@@ -482,7 +481,7 @@ def mixing_exact(
     return MixingReport(lhs=lhs, rhs=rhs, tail_bound=rhs - lhs, n=n)
 
 
-# -- random generators for tests and the CLI ---------------------------------
+# -- random cylinders for the CLI ---------------------------------------------
 
 
 def random_cylinder(
@@ -503,12 +502,3 @@ def random_cylinder(
         balls.append(Ball(ctx, Fraction(center), lv))
     return ProductCylinder(tuple(balls))
 
-
-def random_word(
-    rng: random.Random, spec: SystemSpec, length: int, iota_bound=None
-) -> tuple:
-    """A random digit word drawn from the branches within the given bound."""
-    if iota_bound is None:
-        iota_bound = spec.ctx.p ** 4
-    branches = enumerate_branches(spec, iota_bound)
-    return tuple(rng.choice(branches)[0] for _ in range(length))

@@ -8,20 +8,24 @@ A branch of a continued fraction algorithm is the map
 with parameter (i, sigma, p-vector, q-vector) and s = sigma^{-1}(i).  The
 hyperbolicity conditions force the inverse branch to contract (p*Z_p)^m by a
 factor 1/p, and give it a constant Jacobian with respect to Haar measure.
+
+This module is the exact-measure side of a branch: its parameters, the
+hyperbolicity certificate, the Jacobian factor iota, the inverse branch on
+exact vectors and the exact preimage of a cylinder.  Forward evaluation, the
+rational inverse matrix and random branches are test oracles, kept in
+tests/reference.py.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZeroAtPrecision, NotHyperbolicError
+from .errors import NotHyperbolicError
 from .padic_core import (
     Ball,
     PrimeCtx,
     ProductCylinder,
-    _fraction,
     _intval,
     as_fraction,
     format_rational,
@@ -146,27 +150,6 @@ def iota(f: LftParams) -> Fraction:
     return Fraction(ctx.p**expo)
 
 
-def apply_forward(f: LftParams, xs) -> tuple:
-    """Evaluate the branch at an m-vector; exact on rational inputs."""
-    if len(xs) != f.m:
-        raise ValueError("dimension mismatch")
-    xi = xs[f.i - 1]
-    if xi == 0:  # an exact-zero PadicApprox raises in its own inverse
-        raise DivisionByZeroAtPrecision("pivot coordinate is zero")
-    inv = Fraction(1) / xi
-    s = f.s
-    out = []
-    for k in range(1, f.m + 1):
-        pk = f.pvec[k - 1]
-        qk = f.qvec[k - 1]
-        if k == s:
-            out.append(pk * inv - qk)
-        else:
-            xk = xs[f.sigma[k - 1] - 1]
-            out.append(pk * xk * inv - qk)
-    return tuple(out)
-
-
 def apply_inverse(f: LftParams, ys) -> tuple:
     """Evaluate the inverse branch on an exact vector in (p*Z_p)^m.
 
@@ -189,58 +172,6 @@ def apply_inverse(f: LftParams, ys) -> tuple:
             t = f.sigma_inv(k)
             out.append(ps * (ys[t - 1] + f.qvec[t - 1]) * dinv / f.pvec[t - 1])
     return tuple(out)
-
-
-def inverse_matrix(f: LftParams) -> tuple[tuple[Fraction, ...], ...]:
-    """Homogeneous (m+1)x(m+1) matrix of the inverse branch.
-
-    With y = (Y_1/Y_0, ..., Y_m/Y_0) and X = M Y, the image x_k = X_k/X_0 is
-    apply_inverse(f, y):
-
-        X_0 = Y_s + q_s*Y_0,   X_i = p_s*Y_0,
-        X_k = (p_s/p_t)*(Y_t + q_t*Y_0)   for k != i, t = sigma^{-1}(k).
-
-    Composing inverse branches is multiplying their matrices.
-    """
-    m = f.m
-    s = f.s
-    ps = f.pvec[s - 1]
-    rows = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    rows[0][0] = f.qvec[s - 1]
-    rows[0][s] = Fraction(1)
-    for k in range(1, m + 1):
-        if k == f.i:
-            rows[k][0] = ps
-        else:
-            t = f.sigma_inv(k)
-            ratio = ps / f.pvec[t - 1]
-            rows[k][t] = ratio
-            rows[k][0] = ratio * f.qvec[t - 1]
-    return tuple(tuple(row) for row in rows)
-
-
-def sufficient_hyperbolic(f: LftParams, witness) -> bool:
-    """Image test: does the branch map the witness into (p*Z_p)^m?
-
-    Under the structural preconditions (ord(q_s) <= 0; every p_k nonzero with
-    ord(p_k) >= 0; ord(q_k) > 0 forces ord(p_k) = 0) a single witness in
-    (p*Z_p)^m whose image lands back in (p*Z_p)^m certifies hyperbolicity.
-    """
-    ctx = f.ctx
-    s = f.s
-    qs = f.qvec[s - 1]
-    if qs == 0 or valuation(qs, ctx) > 0:
-        raise ValueError("precondition ord(q_s) <= 0 violated")
-    for k in range(1, f.m + 1):
-        pk = f.pvec[k - 1]
-        qk = f.qvec[k - 1]
-        if valuation(pk, ctx) < 0:
-            raise ValueError("precondition ord(p_k) >= 0 violated")
-        if (qk == 0 or valuation(qk, ctx) > 0) and valuation(pk, ctx) != 0:
-            raise ValueError("precondition ord(q_k) > 0 => ord(p_k) = 0 violated")
-    if any(valuation(x, ctx) < 1 for x in witness):
-        raise ValueError("witness must lie in (p*Z_p)^m")
-    return all(valuation(y, ctx) >= 1 for y in apply_forward(f, witness))
 
 
 def _reduced(f: LftParams) -> tuple:
@@ -324,56 +255,3 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
         for y in range(count)
     ]
 
-
-def random_hyperbolic(rng: random.Random, ctx: PrimeCtx, m: int) -> LftParams:
-    """A random hyperbolic branch for property tests.
-
-    Valuation targets are sampled to satisfy the four conditions with margin
-    at least 1, then numerators are dressed with random p-adic units.
-    """
-    p = ctx.p
-
-    def unit() -> Fraction:
-        # small rational with valuation 0
-        while True:
-            num = rng.randint(1, 9)
-            den = rng.randint(1, 9)
-            if num % p and den % p:
-                sign = -1 if rng.random() < 0.5 else 1
-                return Fraction(sign * num, den)
-
-    i = rng.randint(1, m)
-    sigma = list(range(1, m + 1))
-    rng.shuffle(sigma)
-    s = sigma.index(i) + 1
-    a_s = rng.randint(0, 2)  # ord(p_s)
-    b_s = a_s - rng.randint(1, 3)  # ord(q_s) <= a_s - 1, and <= 0
-    b_s = min(b_s, 0)
-    depth = a_s - b_s  # = v + u >= 1
-    pvec = [None] * m
-    qvec = [None] * m
-    pvec[s - 1] = Fraction(p**a_s) * unit()
-    qvec[s - 1] = _fraction(p, b_s, 1) * unit()
-    for k in range(1, m + 1):
-        if k == s:
-            continue
-        choice = rng.random()
-        if choice < 0.3:
-            # q_k = 0: condition (iv) needs depth > ord(p_k)
-            a_k = rng.randint(0, max(depth - 1, 0))
-            qvec[k - 1] = Fraction(0)
-        elif choice < 0.45:
-            # ord(q_k) > 0: also condition (iv)
-            a_k = rng.randint(0, max(depth - 1, 0))
-            qvec[k - 1] = Fraction(p ** rng.randint(1, 2)) * unit()
-        else:
-            # ord(q_k) <= 0: condition (iii) needs depth > ord(p_k) - ord(q_k)
-            b_k = -rng.randint(0, 2)
-            a_k = rng.randint(0, max(depth - 1 + b_k, 0))
-            if a_k - b_k >= depth:
-                b_k = a_k - depth + 1
-            qvec[k - 1] = _fraction(p, b_k, 1) * unit()
-        pvec[k - 1] = Fraction(p**a_k) * unit()
-    f = LftParams(ctx, m, i, tuple(sigma), tuple(pvec), tuple(qvec))
-    certify_hyperbolic(f)
-    return f

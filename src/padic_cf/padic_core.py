@@ -121,11 +121,6 @@ def norm(x, ctx: PrimeCtx) -> Fraction:
     return _fraction(ctx.p, -v, 1)
 
 
-def vector_norm(xs, ctx: PrimeCtx) -> Fraction:
-    """Max of coordinate norms."""
-    return max(norm(x, ctx) for x in xs)
-
-
 def _digit_form(x, p: int):
     """(ord, unit, abs_prec, den) with x == p**ord * unit / den (mod
     p**abs_prec), den prime to p and unit prime to p or 0: the one reader of
@@ -479,12 +474,6 @@ class Ball:
             raise PrecisionExhausted("membership not determined at this precision")
         return True
 
-    def random_element(self, rng: random.Random, depth: int = 48) -> Fraction:
-        """A random exact rational in the ball, uniform over depth extra digit levels."""
-        p = self.ctx.p
-        t = rng.randrange(p**depth)
-        return self.center + Fraction(t * p**self.level)
-
     def __str__(self):
         return f"{format_rational(self.center)}~{self.level}"
 
@@ -545,9 +534,6 @@ class ProductCylinder:
                 return False
         return True
 
-    def random_element(self, rng: random.Random, depth: int = 48) -> tuple[Fraction, ...]:
-        return tuple(b.random_element(rng, depth) for b in self.balls)
-
 
 @lru_cache(maxsize=256)
 def _haar(p: int, k: int) -> Fraction:
@@ -567,22 +553,6 @@ def measure(obj) -> Fraction:
     if isinstance(obj, ProductCylinder):
         return _haar(obj.ctx.p, sum(b.level - 1 for b in obj.balls))
     raise TypeError(f"cannot measure {type(obj).__name__}")
-
-
-def invert_ball(b: Ball, v) -> Ball:
-    """The exact image of b + v under x -> 1/x, for v with valuation -k <= 0.
-
-    Requires the ball to sit inside p*Z_p.  The image is again a ball, at
-    level b.level + 2k.
-    """
-    ctx = b.ctx
-    v = Fraction(v)
-    if b.center != 0 and valuation(b.center, ctx) < 1:
-        raise ValueError("ball must be contained in p*Z_p")
-    kv = valuation(v, ctx)
-    if kv > 0:
-        raise ValueError("offset must have valuation <= 0 (and be nonzero)")
-    return Ball(ctx, 1 / (v + b.center), b.level - 2 * kv)
 
 
 def _uniform_below(rng: random.Random, n: int):

@@ -16,7 +16,6 @@ from padic_cf import (
     PrecisionExhausted,
     PrimeCtx,
     SystemSpec,
-    apply_forward,
     branch_lft,
     certify_hyperbolic,
     convergent,
@@ -28,7 +27,6 @@ from padic_cf import (
     haar_sample,
     haar_sample_vector,
     integral_part,
-    inverse_matrix,
     iota,
     pivot_valuation,
     step,
@@ -47,6 +45,7 @@ from padic_cf.cfsystems import (
     expansion_records,
     step_core,
 )
+from reference import apply_forward, inverse_matrix
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)

@@ -94,6 +94,28 @@ class TestExpand:
         assert code == 0 and len(out.splitlines()) > 2
         assert (code, out) == run_cli(argv + ["2/3", "4/3"])
 
+    @pytest.mark.parametrize(
+        "flags,point",
+        [
+            (["--p", "3", "--system", "jacobi-perron", "--steps", "2"], ["3/2", "-6/5"]),
+            (["--p", "2", "--system", "schneider"], ["-2/3"]),
+        ],
+        ids=["jacobi-perron", "schneider"],
+    )
+    def test_negative_coordinates_are_values(self, flags, point):
+        # '-' then a digit is a coordinate, not a flag: the bytes are those of
+        # the form that ends the flags with '--'
+        code, out = run_cli(["expand", *flags, *point])
+        assert code == 0 and len(out.splitlines()) > 2
+        assert (code, out) == run_cli(["expand", *flags, "--", *point])
+
+    def test_other_dash_tokens_stay_flags(self, capsys):
+        flags = ["expand", "--p", "2", "--system", "schneider"]
+        assert run_cli([*flags, "-x", "2/3"]) == (2, "")
+        assert "unrecognized arguments: -x" in capsys.readouterr().err
+        code, out = run_cli([*flags, "--seed", "-3", "random:5"])
+        assert code == 0 and (code, out) == run_cli([*flags, "--seed=-3", "random:5"])
+
     def test_tl_in_two_dimensions(self):
         # --system tl with --m 2 is the cyclic family at ell = --l
         flags = ["--p", "2", "--m", "2", "random:60", "--steps", "20", "--seed", "1"]
@@ -156,6 +178,13 @@ class TestConvergents:
             tmp_path, ["--p", "3", "--system", "schneider"], ["57/40"], [Fraction(57, 40)]
         )
         assert len(column) == 5 and column[-1] == "inf"
+
+    def test_ord_column_of_a_negative_point(self, tmp_path):
+        # expand takes -2/3 as its point and convergents as --point's
+        column = self._ord_column(
+            tmp_path, ["--p", "2", "--system", "schneider"], ["-2/3"], [Fraction(-2, 3)]
+        )
+        assert len(column) == 40
 
     def test_ord_column_of_a_random_point_is_capped(self, tmp_path):
         xs = haar_sample_vector(PrimeCtx(2), 1, 20, random.Random(3))

@@ -41,11 +41,11 @@ from padic_cf import (
     mixing_exact,
     preimage_cylinder,
     random_cylinder,
-    random_word,
     theoretical_digit_means,
     valuation,
 )
 from padic_cf.ergodics import StatReport, _run_sharded
+from reference import random_word
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -246,6 +246,56 @@ class TestTheoreticalMeans:
             mean = sum(e[0] * e[at] for e in weights) / covered
             mean_sq = sum(e[0] * e[at] ** 2 for e in weights) / covered
             assert abs(mean_sq - mean * mean - var) <= tail * (K + 3) ** 2, at
+
+    @staticmethod
+    def _moments(spec, bound):
+        """(tail, [(mean, variance) of a, of b]) over the branches with
+        iota <= bound, each branch weighted by 1/iota and the moments
+        conditioned on the branches found."""
+        weights = [(1 / iota(f), d.v, d.k) for d, f in enumerate_branches(spec, bound)]
+        covered = sum(w for w, _, _ in weights)
+        moments = []
+        for at in (1, 2):
+            mean = sum(e[0] * e[at] for e in weights) / covered
+            mean_sq = sum(e[0] * e[at] ** 2 for e in weights) / covered
+            moments.append((mean, mean_sq - mean * mean))
+        return 1 - covered, moments
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_t1_second_moments_from_branch_weights(self, p):
+        # At ell = 1 every pivot depth d >= 1 gives a class-1 digit, so a is
+        # uniform on w/p, p not dividing w < p**2, at every depth: Var a =
+        # (p**3 - 2)/(12p) exactly on any set of whole depths.  b = d - 1 with
+        # d geometric, P(d = j) = (p-1)/p**j, so Var b = p/(p-1)**2.  The
+        # branches with iota <= p**K are those with d <= K - 1, tail
+        # p**-(K-1).  Given d > K - 1, d - (K - 1) is geometric again, so the
+        # law of total variance leaves Var b - Var_found b = tail * (mu_omitted
+        # - mu_found)**2, and mu_omitted - mu_found lies in [0, K].
+        K = 16
+        tail, ((_, var_a), (_, var_b)) = self._moments(
+            SystemSpec.one_dim(PrimeCtx(p), 1), p**K
+        )
+        assert tail == Fraction(1, p ** (K - 1))
+        assert var_a == Fraction(p**3 - 2, 12 * p)
+        assert 0 <= Fraction(p, (p - 1) ** 2) - var_b <= tail * K**2
+
+    @pytest.mark.parametrize("p,K", [(2, 16), (3, 10), (5, 6)])
+    def test_ruban_second_moments_from_branch_weights(self, p, K):
+        # Ruban's b is 0.  Its a at pivot depth d is w/p**d, p not dividing
+        # w < p**(d+1), uniform; w -> p**(d+1) - w maps these values onto
+        # themselves, so a has mean p/2 at every depth.  Summed over depths,
+        # Var a = p**2/12 - p/(6(p**2 + p + 1)).  A depth-d branch has iota
+        # p**(2d), so at bound p**K the tail is p**-(K // 2).  With equal
+        # means found and omitted, the law of total variance leaves
+        # Var a - Var_found a = tail * (Var_omitted a - Var_found a), and
+        # both lie in [0, p**2/4] since 0 < a < p.
+        tail, ((mean_a, var_a), (mean_b, var_b)) = self._moments(
+            SystemSpec.ruban(PrimeCtx(p)), p**K
+        )
+        assert tail == Fraction(1, p ** (K // 2))
+        assert mean_a == Fraction(p, 2) and mean_b == var_b == 0
+        var = Fraction(p * p, 12) - Fraction(p, 6 * (p * p + p + 1))
+        assert abs(var - var_a) <= tail * Fraction(p * p, 4)
 
 
 class TestBirkhoff:

@@ -26,7 +26,6 @@ from padic_cf import (
     haar_sample,
     haar_sample_vector,
     integral_part,
-    invert_ball,
     measure,
     norm,
     parse_rational,
@@ -608,45 +607,6 @@ class TestBallsAndMeasure:
             assert measure(Ball(P3, 0, k + 1)) == Fraction(1, 3**k)
         assert padic_core._haar.cache_info().currsize == bound
 
-    def test_invert_ball_unit_case(self):
-        out = invert_ball(Ball(P2, Fraction(0), 1), Fraction(1))
-        assert out == Ball(P2, Fraction(1), 1)
-        # oracle: invert every residue 1 + 2t exactly and check membership
-        for t in range(16):
-            xi = Fraction(1, 1 + 2 * t)
-            assert out.contains(xi)
-
-    def test_invert_ball_negative_valuation_offset(self):
-        out = invert_ball(Ball(P3, Fraction(0), 1), Fraction(1, 3))
-        assert out == Ball(P3, Fraction(3), 3)
-
-    def test_invert_ball_level_rule(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            b = Ball(P3, Fraction(3 * rng.randrange(3 ** (n - 1))), n)
-            k = rng.randint(0, 3)
-            num = rng.choice([1, 2, 4, 5, 7, 8])
-            v = Fraction(num, 3**k)
-            out = invert_ball(b, v)
-            assert out.level == n + 2 * k
-
-    def test_invert_ball_membership_sampling(self):
-        rng = random.Random(2)
-        b = Ball(P2, Fraction(2), 3)
-        v = Fraction(3, 4)
-        out = invert_ball(b, v)
-        for _ in range(100):
-            xi = b.random_element(rng, depth=40)
-            assert out.contains(1 / (xi + v))
-
-    def test_invert_ball_rejects_bad_offsets(self):
-        b = Ball(P2, Fraction(2), 3)
-        with pytest.raises(ValueError):
-            invert_ball(b, Fraction(0))
-        with pytest.raises(ValueError):
-            invert_ball(b, Fraction(2))
-
 
 class TestHaarSampling:
     def test_determinism(self):
@@ -764,8 +724,6 @@ class TestRefusals:
             (lambda: ProductCylinder((Ball(P2, Fraction(2), 1),)).contains(
                 (Fraction(2), Fraction(4))), ValueError, "dimension mismatch"),
             (lambda: measure(Fraction(1)), TypeError, "cannot measure Fraction"),
-            (lambda: invert_ball(Ball(P2, Fraction(1), 3), Fraction(1)), ValueError,
-             r"ball must be contained in p\*Z_p"),
             (lambda: haar_sample(P2, 0, 1), ValueError, "need at least one digit"),
             (lambda: digit_expand(Fraction(1), P2, 3, 2), ValueError, "stop must be >= start"),
             (lambda: PadicApprox.from_rational(Fraction(2), P2, 5)
@@ -779,7 +737,7 @@ class TestRefusals:
              TypeError, "cannot test membership of float"),
         ],
         ids=["ball-level-0", "empty-cylinder", "mixed-primes", "contains-dimension",
-             "measure-non-cylinder", "invert-outside-pZp", "sample-no-digits",
+             "measure-non-cylinder", "sample-no-digits",
              "expand-stop-before-start", "sum-two-primes", "contains-float", "contains-str",
              "cylinder-contains-float"],
     )

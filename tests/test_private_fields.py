@@ -36,6 +36,11 @@ def test_every_module_is_checked():
     assert {path.name for path in MODULES} >= {"cfsystems.py", "cli.py", "ergodics.py", "lft.py"}
 
 
+def test_the_test_oracles_read_no_private_field():
+    # tests/reference.py reads a PadicApprox through its public operators too
+    assert _private_reads((Path(__file__).parent / "reference.py").read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_private_field_read_outside_padic_core(path):
     assert _private_reads(path.read_text(encoding="utf-8")) == []

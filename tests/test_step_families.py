@@ -51,7 +51,6 @@ from padic_cf import (
     ProductCylinder,
     SystemSpec,
     Ball,
-    apply_forward,
     branch_counts,
     branch_lft,
     certify_hyperbolic,
@@ -68,12 +67,12 @@ from padic_cf import (
     pivot_valuation,
     preimage_cylinder,
     random_cylinder,
-    random_hyperbolic,
     step,
     valuation,
 )
 from padic_cf import ergodics
 from padic_cf.cfsystems import digit_to_obj, step_core
+from reference import apply_forward, random_hyperbolic
 
 DIGESTS = Path(__file__).parent / "golden" / "step_digests.txt"
 
