@@ -471,6 +471,24 @@ def convergent(spec: SystemSpec, digits):
     return vec[0] if spec.kind == ONE_DIM else vec
 
 
+def _branch_slots(spec: SystemSpec, d) -> tuple[int, list[tuple[int, int, int]]]:
+    """(top, slots), the nonzero entries of _branch_matrix(spec, d) from a
+    digit pivot_valuation accepted.  Entry [i][0] is top, and slot t = 1..m
+    gives (k, e0, et): entry [k][0] is e0 and [k][t] is et, for k = 0 in the
+    pivot's slot s = sigma^-1(i) and k = sigma(t) otherwise.  So column t of
+    the matrix is et at row k alone.  Every entry is >= 0, and top, every et
+    and entry [0][0] (q_s > 0 scaled) are > 0."""
+    p, i = spec.ctx.p, d.pivot
+    pw = [p**r for r in d.pexp]
+    scale = [pk * q.denominator for pk, q in zip(pw, d.qvec)]
+    top = max(scale)
+    slots = [
+        (0 if k == i else k, q.numerator * (top // sc), top // pk)
+        for k, q, sc, pk in zip(spec.sigma, d.qvec, scale, pw)
+    ]
+    return top, slots
+
+
 def _branch_matrix(spec: SystemSpec, d):
     """The homogeneous matrix M of branch_lft(spec, d)'s inverse branch
     times p**E, the lcm of its denominators, built on integers from a digit
@@ -483,47 +501,57 @@ def _branch_matrix(spec: SystemSpec, d):
     top = p**(E + r_s) is the largest p_k * p**c_k.  The entries are then
     X_0 = n_s*top/(p_s*p**c_s) Y_0 + top/p_s Y_s, X_i = top Y_0, and
     X_k = n_t*top/(p_t*p**c_t) Y_0 + top/p_t Y_t for k != i, t = sigma^-1(k).
+    This is the dense form of _branch_slots's entries.
     """
-    p, m, i = spec.ctx.p, spec.m, d.pivot
-    pw = [p**r for r in d.pexp]
-    nums = [q.numerator for q in d.qvec]
-    scale = [pk * q.denominator for pk, q in zip(pw, d.qvec)]
-    top = max(scale)
+    m = spec.m
+    top, slots = _branch_slots(spec, d)
     rows = [[0] * (m + 1) for _ in range(m + 1)]
-    rows[i][0] = top
-    for t, k in enumerate(spec.sigma):  # slot t + 1 = sigma^-1(k)
-        row = rows[0] if k == i else rows[k]
-        row[0] = nums[t] * (top // scale[t])
-        row[t + 1] = top // pw[t]
+    rows[d.pivot][0] = top
+    for t, (k, e0, et) in enumerate(slots, 1):
+        rows[k][0] = e0
+        rows[k][t] = et
     return rows
 
 
-def _compose(a, b):
-    """Matrix product a*b, skipping the zero entries of b (every column of a
-    branch matrix but the first has a single nonzero entry)."""
-    size = len(b)
-    cols = [[(k, b[k][c]) for k in range(size) if b[k][c]] for c in range(size)]
-    return tuple(tuple(sum(row[k] * x for k, x in col) for col in cols) for row in a)
+def _convergent_pairs(spec: SystemSpec, digits):
+    """Yield convergent(spec, digits[:j]) for j = 1, 2, ..., in turn, as a
+    tuple of m reduced integer pairs (num, den) with den > 0.
+
+    Carries the composed inverse branch M_1*...*M_j as its m + 1 integer
+    columns and right-multiplies it by each new branch matrix, so every row
+    costs one branch instead of j.  By the shape _branch_slots gives, new
+    column t >= 1 is old column k times et, and new column 0 is top times old
+    column i plus each slot's e0 times old column k; no LftParams and no
+    dense branch matrix is built.  The convergent, the image of the origin
+    e_0, is column 0 over its entry 0, which stays > 0 because every branch
+    entry is >= 0 and entry [0][0] is > 0; one gcd per coordinate reduces
+    it.  Digits are validated by pivot_valuation one by one, so an invalid
+    digit raises after the rows before it.
+    """
+    size = spec.m + 1
+    cols = [[int(r == c) for r in range(size)] for c in range(size)]
+    for d in digits:
+        pivot_valuation(spec, d)
+        top, slots = _branch_slots(spec, d)
+        col0 = [top * x for x in cols[d.pivot]]
+        for k, e0, _ in slots:
+            if e0:
+                col0 = [a + e0 * b for a, b in zip(col0, cols[k])]
+        cols = [col0] + [[et * x for x in cols[k]] for k, _, et in slots]
+        x0 = col0[0]
+        pairs = []
+        for n in col0[1:]:
+            g = math.gcd(n, x0)
+            pairs.append((n // g, x0 // g))
+        yield tuple(pairs)
 
 
 def convergents(spec: SystemSpec, digits):
-    """Yield convergent(spec, digits[:j]) for j = 1, 2, ..., in turn.
-
-    Carries the composed inverse branch M_1*...*M_j as one homogeneous
-    matrix and right-multiplies it by each new branch matrix, so every row
-    costs one branch instead of j; each branch matrix is built on integers
-    from its digit (_branch_matrix), with no LftParams.  The convergent, the
-    image of the origin e_0, is column 0 divided by its entry 0.  Digits are
-    validated by pivot_valuation one by one, so an invalid digit raises
-    after the rows before it.
-    """
-    carried = None
-    for d in digits:
-        pivot_valuation(spec, d)
-        branch = _branch_matrix(spec, d)
-        carried = branch if carried is None else _compose(carried, branch)
-        x0 = carried[0][0]
-        vec = tuple(Fraction(row[0], x0) for row in carried[1:])
+    """Yield convergent(spec, digits[:j]) for j = 1, 2, ..., in turn: the
+    pairs of _convergent_pairs as Fractions, a scalar for one-dimensional
+    systems and a tuple otherwise."""
+    for pairs in _convergent_pairs(spec, digits):
+        vec = tuple([Fraction(n, d) for n, d in pairs])
         yield vec[0] if spec.kind == ONE_DIM else vec
 
 

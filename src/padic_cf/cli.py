@@ -22,7 +22,7 @@ from .cfsystems import (
     Digit1D,
     SystemSpec,
     _coerce_point,
-    convergents,
+    _convergent_pairs,
     digit_from_obj,
     digit_to_obj,
     enumerate_branches,
@@ -211,15 +211,15 @@ def cmd_convergents(args, out) -> int:
     if args.point is not None:
         x0, point = _coerce_point(spec, _parse_point(spec, args.point, args.seed, "--point"))
     p = spec.ctx.p
-    for j, vec in enumerate(convergents(spec, digits)):
-        coords = vec if isinstance(vec, tuple) else (vec,)
-        cols = [str(j), " ".join(format_rational(c) for c in coords)]
+    for j, pairs in enumerate(_convergent_pairs(spec, digits)):
+        # each coordinate is the reduced pair (num, den) of format_rational's text
+        cols = [str(j), " ".join([f"{num}/{den}" for num, den in pairs])]
         if args.point is not None:
             ords = []
-            for (lo, unit, prec), c in zip(point, coords):
-                # x - c = n / (x0 * den), and x0 and den are prime to p; an
-                # exact zero has lo = inf and unit 0
-                n = (unit and unit * c.denominator * p**lo) - x0 * c.numerator
+            for (lo, unit, prec), (num, den) in zip(point, pairs):
+                # x - num/den = n / (x0 * den), and x0 and den are prime to p;
+                # an exact zero has lo = inf and unit 0
+                n = (unit and unit * den * p**lo) - x0 * num
                 ords.append(min(_intval(n, p) if n else INF, prec))
             vmin = min(ords)
             cols.append("inf" if vmin == INF else str(vmin))

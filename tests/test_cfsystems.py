@@ -1,5 +1,6 @@
 """Algorithm families: steps, digits, branches, expansions, convergents."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -653,6 +654,39 @@ class TestBranchMatrix:
                 assert _branch_matrix(spec, d) == lcm_scaled(branch_lft(spec, d)), d
                 pivots.add(d.pivot)
         assert pivots - {1}, "no Brun digit pivoted off coordinate 1"
+
+    def test_entries_are_nonnegative_with_a_positive_corner(self):
+        """Every entry of a branch matrix is >= 0 and entry [0][0] > 0, for
+        expanded, enumerated and parsed digits, zero integral parts included:
+        so the carried column 0 of convergents keeps a positive entry 0, the
+        denominator of every convergent, with no sign step."""
+        rng = random.Random(11)
+        cases = [  # each with digit records a step may emit, written out by hand
+            (SystemSpec.schneider(P2), ['{"k":2,"v":"1/1"}']),
+            (SystemSpec.ruban(P3), ['{"k":0,"v":"2/3"}']),
+            (SystemSpec.one_dim(P3, 1), ['{"k":3,"v":"4/3"}']),
+            (SystemSpec.multi_dim(P3, 1, 3), ['{"pexp":[0,0,0],"q":["0/1","0/1","1/3"]}']),
+            (SystemSpec.multi_dim(P2, 0, 2), ['{"pexp":[0,1],"q":["0/1","1/1"]}']),
+            (SystemSpec.jacobi_perron(P2, 2), ['{"pexp":[0,0],"q":["0/1","3/2"]}']),
+            (SystemSpec.brun(P3, 3), ['{"pexp":[0,0,0],"q":["0/1","0/1","1/3"],"pivot":3}',
+                                      '{"pexp":[0,0,0],"q":["1/3","2/1","0/1"],"pivot":1}']),
+            (SystemSpec.brun(PrimeCtx(5), 3),
+             ['{"pexp":[0,0,0],"q":["0/1","7/5","0/1"],"pivot":2}']),
+        ]
+        zero_parts = 0
+        for spec, records in cases:
+            digits = [digit_from_obj(json.loads(r)) for r in records]
+            for _ in range(4):
+                xs = haar_sample_vector(spec.ctx, spec.m, 80, rng)
+                digits += expand(spec, xs if spec.m > 1 else xs[0], 40).digits
+            if spec.kind != BRUN:
+                digits += [d for d, _ in enumerate_branches(spec, spec.ctx.p**7)]
+            for d in digits:
+                pivot_valuation(spec, d)
+                rows = _branch_matrix(spec, d)
+                assert rows[0][0] > 0 and min(min(row) for row in rows) >= 0, (spec, d)
+                zero_parts += sum(q == 0 for q in d.qvec)
+        assert zero_parts > 100
 
     def test_convergents_build_no_lft(self, monkeypatch):
         rng = random.Random(3)

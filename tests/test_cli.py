@@ -16,12 +16,15 @@ import pytest
 from padic_cf import (
     PrimeCtx,
     SystemSpec,
+    convergent,
     expand,
     expansion_records,
+    format_rational,
     haar_sample_vector,
     parse_rational,
     valuation,
 )
+from padic_cf.cfsystems import digit_from_obj
 from padic_cf.cli import _parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -204,6 +207,46 @@ class TestConvergents:
         xs = haar_sample_vector(PrimeCtx(3), 2, 30, random.Random(5))
         flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2", "--seed", "5"]
         assert len(self._ord_column(tmp_path, flags, ["random:30"], xs)) > 3
+
+    @pytest.mark.parametrize(
+        "flags,spec,exact",
+        [
+            (["--p", "2", "--system", "schneider"], SystemSpec.schneider(PrimeCtx(2)), ["-2/3"]),
+            (["--p", "3", "--system", "ruban"], SystemSpec.ruban(PrimeCtx(3)), ["-111/20"]),
+            (["--p", "3", "--system", "tl", "--l", "1"], SystemSpec.one_dim(PrimeCtx(3), 1),
+             ["-21/5"]),
+            (["--p", "3", "--system", "tl", "--l", "1", "--m", "3"],
+             SystemSpec.multi_dim(PrimeCtx(3), 1, 3), ["-99/23", "-75/41", "-87/26"]),
+            (["--p", "2", "--system", "jacobi-perron"], SystemSpec.jacobi_perron(PrimeCtx(2), 2),
+             ["-86/23", "-92/47"]),
+            (["--p", "5", "--system", "brun", "--m", "3"], SystemSpec.brun(PrimeCtx(5), 3),
+             ["60/7", "220/21", "-150/29"]),
+        ],
+        ids=["schneider-p2", "ruban-p3", "tl1-p3", "tl1-p3-m3", "jp-p2-m2", "brun-p5-m3"],
+    )
+    @pytest.mark.parametrize("kind", ["random", "exact"])
+    def test_convergent_column_is_the_reduced_oracle_text(
+        self, tmp_path, flags, spec, exact, kind
+    ):
+        """Row j's convergent column is the format_rational text of
+        convergent(spec, digits[:j+1]), byte for byte: every coordinate in
+        lowest terms with a positive denominator."""
+        point = ["random:60"] if kind == "random" else exact
+        flags = [*flags, "--seed", "8"]
+        code, digits = run_cli(["expand", *flags, *point, "--steps", "40"])
+        assert code == 0
+        word = [digit_from_obj(json.loads(line)["digit"]) for line in digits.splitlines()[:-1]]
+        path = tmp_path / "digits.jsonl"
+        path.write_text(digits, encoding="utf-8")
+        code, out = run_cli(["convergents", *flags, str(path), "--point", *point])
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert code == 0 and len(rows) == len(word) >= 8
+        if spec.kind == "brun":
+            assert {d.pivot for d in word} - {1}, "no Brun digit pivoted off coordinate 1"
+        for j, row in enumerate(rows):
+            vec = convergent(spec, word[: j + 1])
+            coords = vec if isinstance(vec, tuple) else (vec,)
+            assert row[1] == " ".join(format_rational(c) for c in coords), j
 
     def test_stdin_matches_a_file(self, tmp_path, monkeypatch):
         flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2", "--seed", "2"]

@@ -279,6 +279,53 @@ class TestTheoreticalMeans:
         assert var_a == Fraction(p**3 - 2, 12 * p)
         assert 0 <= Fraction(p, (p - 1) ** 2) - var_b <= tail * K**2
 
+    @pytest.mark.parametrize("ell", [2, 3])
+    @pytest.mark.parametrize("p,K", [(2, 16), (3, 10), (5, 7)])
+    def test_t_ell_second_moments_from_branch_weights(self, p, K, ell):
+        # At 2 <= ell < inf the pivot depth d is geometric, P(d) = (p-1)/p**d;
+        # a is uniform on the class-c digit values, c = min(d, ell), and b =
+        # max(d - ell, 0).  The class-c values are w/p**c, p not dividing
+        # w < N = p**(c+1), so with M = p**c and S(X) = (X-1)X(2X-1), six
+        # times the sum of squares below X, E[a**2 | c] = (S(N) - p**2 S(M)) /
+        # (6M(p-1)p**(2c)).  Each class has mean p/2 (w -> N - w), and d >= ell
+        # has probability p**-(ell-1), so Var a = sum_{d<ell} P(d)E[a**2|d] +
+        # p**-(ell-1)E[a**2|ell] - p**2/4.  Summing k P(d = ell + k) and k**2
+        # P(d = ell + k) gives E[b] = p**(1-ell)/(p-1) and E[b**2] =
+        # p**(1-ell)(p+1)/(p-1)**2.
+        #
+        # A depth-d branch has iota p**(r + 2c) = p**(d + ell) for d >= ell,
+        # so the branches with iota <= p**K are those with d <= K - ell, all
+        # classes below ell among them, and the tail is t = p**-(K-ell).  By
+        # the law of total variance, Var - Var_found = t(Var_omitted -
+        # Var_found) + t(1-t)(mu_omitted - mu_found)**2.  For a the means are
+        # equal and both variances lie in [0, p**2/4], since 0 < a < p.  For b
+        # the omitted part is K - 2ell plus a geometric of mean p/(p-1) <= 2
+        # and variance p/(p-1)**2 <= 2, and the found b lie in [0, K - 2ell]:
+        # so 0 <= mu_omitted - mu_found <= K - 2, Var_found <= K**2/4, and
+        # -t*K**2 <= Var - Var_found <= t(2 + (K-2)**2) <= t*K**2.
+        def sq_sum(x):  # six times the sum of w**2 for 0 <= w < x
+            return (x - 1) * x * (2 * x - 1)
+
+        def mean_sq(c):
+            n, m = p ** (c + 1), p**c
+            return Fraction(sq_sum(n) - p * p * sq_sum(m), 6 * m * (p - 1) * p ** (2 * c))
+
+        var_a = (
+            sum(Fraction(p - 1, p**d) * mean_sq(d) for d in range(1, ell))
+            + Fraction(1, p ** (ell - 1)) * mean_sq(ell)
+            - Fraction(p * p, 4)
+        )
+        var_b = Fraction(p * (p + 1), p**ell) - Fraction(p * p, p ** (2 * ell))
+        var_b /= (p - 1) ** 2
+        tail = Fraction(1, p ** (K - ell))
+        found_tail, ((mean_a, found_a), (_, found_b)) = self._moments(
+            SystemSpec.one_dim(PrimeCtx(p), ell), p**K
+        )
+        assert found_tail == tail
+        assert mean_a == Fraction(p, 2)
+        assert abs(var_a - found_a) <= tail * Fraction(p * p, 4)
+        assert abs(var_b - found_b) <= tail * K**2
+
     @pytest.mark.parametrize("p,K", [(2, 16), (3, 10), (5, 6)])
     def test_ruban_second_moments_from_branch_weights(self, p, K):
         # Ruban's b is 0.  Its a at pivot depth d is w/p**d, p not dividing

@@ -9,6 +9,7 @@ a failing test.
 
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import padic_cf
@@ -44,3 +45,34 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert _namespaces() == before
+
+
+def test_traced_convergents_round_trip_matches_untraced(monkeypatch):
+    # expand, then convergents --point on its output, as the convergents
+    # workload runs them: the tracer swaps cli.json for a namespace of its
+    # own, so a json attribute that namespace lacks would break only here
+    flags = ["--p", "3", "--system", "jacobi-perron", "--m", "2", "--seed", "6"]
+
+    def round_trip():
+        digits, rows = io.StringIO(), io.StringIO()
+        assert padic_cf.cli.main(["expand", *flags, "random:40", "--steps", "20"], out=digits) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(digits.getvalue()))
+        argv = ["convergents", *flags, "-", "--point", "random:40"]
+        assert padic_cf.cli.main(argv, out=rows) == 0
+        return digits.getvalue() + rows.getvalue()
+
+    before = _namespaces()
+    untraced = round_trip()
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install(padic_cf)
+        traced = round_trip()
+    finally:
+        tracer.uninstall()
+    assert _namespaces() == before
+    assert traced == untraced and len(untraced.splitlines()) > 20
+    spans = {}
+    for (layer, _), (count, _) in tracer.layer_stats().items():
+        spans[layer] = spans.get(layer, 0) + count
+    assert spans.get("cli.parse", 0) > 0 and spans.get("cli.format", 0) > 0
+    assert tracer.counts()["cli.out_bytes"] == len(untraced.encode())
