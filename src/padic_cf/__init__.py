@@ -18,7 +18,6 @@ from .padic_core import (
     PrimeCtx,
     ProductCylinder,
     digit_expand,
-    format_approx,
     format_rational,
     haar_sample,
     haar_sample_vector,
@@ -62,7 +61,6 @@ from .ergodics import (
     digit_mean_reports,
     invariance_mc,
     iota_sum,
-    membership_mc,
     mixing_exact,
     random_cylinder,
     theoretical_digit_means,

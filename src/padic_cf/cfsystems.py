@@ -37,7 +37,7 @@ from .errors import (
     InvalidDigit,
     PrecisionExhausted,
 )
-from .lft import LftParams, apply_inverse, iota
+from .lft import LftParams, apply_inverse
 from .padic_core import (
     INF,
     PadicApprox,
@@ -76,10 +76,6 @@ def digit_class(v, p: int) -> int | None:
 
 def digit_values(p: int, n: int):
     """All (p-1)*p**n admissible digit values of class n, ascending."""
-    if n == 0:
-        for w in range(1, p):
-            yield Fraction(w)
-        return
     q = p**n
     for w in range(1, p * q):
         if w % p:
@@ -472,12 +468,15 @@ def convergent(spec: SystemSpec, digits):
 
 
 def _branch_slots(spec: SystemSpec, d) -> tuple[int, list[tuple[int, int, int]]]:
-    """(top, slots), the nonzero entries of _branch_matrix(spec, d) from a
-    digit pivot_valuation accepted.  Entry [i][0] is top, and slot t = 1..m
-    gives (k, e0, et): entry [k][0] is e0 and [k][t] is et, for k = 0 in the
-    pivot's slot s = sigma^-1(i) and k = sigma(t) otherwise.  So column t of
-    the matrix is et at row k alone.  Every entry is >= 0, and top, every et
-    and entry [0][0] (q_s > 0 scaled) are > 0."""
+    """(top, slots), the nonzero entries of the integer matrix M of
+    branch_lft(spec, d)'s inverse branch, for a digit pivot_valuation
+    accepted: lft.apply_inverse maps y = (Y_1/Y_0, ..., Y_m/Y_0) to X/X_0 for
+    X = M Y, so composing inverse branches multiplies their matrices.  With
+    p_k = p**r_k and q_k = n_k / p**c_k, top is the largest p_k * p**c_k.
+    Entry [i][0] is top, and slot t = 1..m gives (k, e0, et): entry [k][0] is
+    e0 = n_t*top/(p_t*p**c_t) and [k][t] is et = top/p_t, for k = 0 in the
+    pivot's slot s = sigma^-1(i) and k = sigma(t) otherwise.  Every entry is
+    >= 0, and top, every et and entry [0][0] (q_s > 0 scaled) are > 0."""
     p, i = spec.ctx.p, d.pivot
     pw = [p**r for r in d.pexp]
     scale = [pk * q.denominator for pk, q in zip(pw, d.qvec)]
@@ -487,30 +486,6 @@ def _branch_slots(spec: SystemSpec, d) -> tuple[int, list[tuple[int, int, int]]]
         for k, q, sc, pk in zip(spec.sigma, d.qvec, scale, pw)
     ]
     return top, slots
-
-
-def _branch_matrix(spec: SystemSpec, d):
-    """The homogeneous matrix M of branch_lft(spec, d)'s inverse branch
-    times p**E, the lcm of its denominators, built on integers from a digit
-    pivot_valuation accepted.  With y = (Y_1/Y_0, ..., Y_m/Y_0) and X = M Y,
-    X_k/X_0 is lft.apply_inverse's image of y, so composing inverse branches
-    is multiplying their matrices.
-
-    With p_k = p**r_k, q_k = n_k / p**c_k (c_k = 0 for q_k = 0) and
-    s = sigma^-1(i), E = max(0, c_s, max_{t != s}(r_t + c_t - r_s)), so
-    top = p**(E + r_s) is the largest p_k * p**c_k.  The entries are then
-    X_0 = n_s*top/(p_s*p**c_s) Y_0 + top/p_s Y_s, X_i = top Y_0, and
-    X_k = n_t*top/(p_t*p**c_t) Y_0 + top/p_t Y_t for k != i, t = sigma^-1(k).
-    This is the dense form of _branch_slots's entries.
-    """
-    m = spec.m
-    top, slots = _branch_slots(spec, d)
-    rows = [[0] * (m + 1) for _ in range(m + 1)]
-    rows[d.pivot][0] = top
-    for t, (k, e0, et) in enumerate(slots, 1):
-        rows[k][0] = e0
-        rows[k][t] = et
-    return rows
 
 
 def _convergent_pairs(spec: SystemSpec, digits):
@@ -594,7 +569,7 @@ def _pivot_classes(spec: SystemSpec, iota_bound) -> list[tuple[int, int, int, in
 
 
 def _enumerate(spec: SystemSpec, iota_bound) -> list:
-    """Digits of every branch with iota <= iota_bound, unsorted."""
+    """(e, digit) for every branch with iota = p**e <= iota_bound, unsorted."""
     p = spec.ctx.p
     classes = _pivot_classes(spec, iota_bound)
     top = _top_exponent(p, iota_bound)
@@ -602,7 +577,7 @@ def _enumerate(spec: SystemSpec, iota_bound) -> list:
     options = [(0, Fraction(0))]  # a non-pivot entry: zero, or at depth 0 .. d1-1
     for _, r_m, u, base, max_r, cls in classes:
         if spec.kind == ONE_DIM:
-            out += [Digit1D(r_m, q) for q in digit_values(p, u)]
+            out += [(base, Digit1D(r_m, q)) for q in digit_values(p, u)]
             continue
         options += [(max_r, q) for q in digit_values(p, cls)]
         for q_m in digit_values(p, u):
@@ -616,7 +591,7 @@ def _enumerate(spec: SystemSpec, iota_bound) -> list:
                 ]
             for rs, qs, expo in partial:
                 if expo <= top:
-                    out.append(DigitMD(rs + (r_m,), qs + (q_m,), 1))
+                    out.append((expo, DigitMD(rs + (r_m,), qs + (q_m,), 1)))
     return out
 
 
@@ -627,14 +602,11 @@ def enumerate_branches(spec: SystemSpec, iota_bound) -> list[tuple]:
     family is not enumerable here (its branch set has no closed form in this
     parameterisation).
     """
-    entries = []
-    for d in _enumerate(spec, iota_bound):
-        f = branch_lft(spec, d)
-        entries.append((iota(f).numerator, d, f))  # iota is the integer p**e
+    entries = _enumerate(spec, iota_bound)
     entries.sort(
         key=lambda e: (e[0], e[1].pexp, tuple((q.numerator, q.denominator) for q in e[1].qvec))
     )
-    return [(d, f) for _, d, f in entries]
+    return [(d, branch_lft(spec, d)) for _, d in entries]
 
 
 def branch_counts(spec: SystemSpec, iota_bound) -> dict[int, int]:

@@ -472,17 +472,18 @@ def _fill_defaults(args):
         raise CliError(f"argument --bound: must be at least p = {args.p}, got {bound}")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args keeps no state between
-    calls.  build_parser itself still returns a fresh parser."""
-    return build_parser()
+@functools.lru_cache(maxsize=2)
+def _parser(build) -> argparse.ArgumentParser:
+    """The parser of build, built once per builder (parse_args keeps no
+    state between calls).  main passes build_parser as it reads at the call,
+    so a builder swapped in after a run gets a parser of its own."""
+    return build()
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(build_parser).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -333,23 +333,20 @@ def digit_mean_reports(
     return reports[0], reports[1]
 
 
-def _cylinder_mc(
-    spec: SystemSpec,
-    c: ProductCylinder,
-    n_samples: int,
-    seed: int,
-    preimage: bool,
-    threads: int = 1,
+def invariance_mc(
+    spec: SystemSpec, c: ProductCylinder, n_samples: int, seed: int, threads: int = 1
 ) -> StatReport:
-    """Fraction of Haar samples x (preimage: of their images T(x)) in c.
+    """Estimate the measure of the inverse image of c, the fraction of Haar
+    samples x whose images T(x) lie in c.  Invariance of Haar measure makes
+    the target equal measure(c), which is the report's theoretical field.
 
     Samples are haar_sample_vector's draws at L + 48 digits, L = max(c.levels),
     read m at a time from one padic_core._uniform_below generator on the
     shard's seeded Random: coordinate k is p * u_k, kept as the step_core
-    triple (1, u_k, L + 49) over x0 = 1.  A preimage sample is stepped once,
-    and its image is tested with ProductCylinder.contains_digits over the
-    step's denominator x0'.  A sample whose step or membership test raises
-    is dropped, so the estimate is conditioned on the completed samples:
+    triple (1, u_k, L + 49) over x0 = 1.  A sample is stepped once, and its
+    image is tested with ProductCylinder.contains_digits over the step's
+    denominator x0'.  A sample whose step or membership test raises is
+    dropped, so the estimate is conditioned on the completed samples:
     n_samples is the count done, n_dropped the rest, and 2*done < n_samples
     raises InsufficientData (_require_half).
 
@@ -396,8 +393,7 @@ def _cylinder_mc(
             if inside is unseen:
                 x0, point = 1, [(1, u, precision + 1) for u in key]
                 try:
-                    if preimage:
-                        _, _, _, x0, point = step_core(spec, x0, point)
+                    _, _, _, x0, point = step_core(spec, x0, point)
                     inside = c.contains_digits(point, x0)
                 except (PrecisionExhausted, ExpansionTerminated):
                     inside = None
@@ -417,29 +413,11 @@ def _cylinder_mc(
         estimate=float(est),
         stderr=stderr,
         n_samples=done,
-        n_steps=1 if preimage else 0,
+        n_steps=1,
         theoretical=measure(c),
         seed=seed,
         n_dropped=n_samples - done,
     )
-
-
-def invariance_mc(
-    spec: SystemSpec, c: ProductCylinder, n_samples: int, seed: int, threads: int = 1
-) -> StatReport:
-    """Estimate the measure of the inverse image of a cylinder.
-
-    Invariance of Haar measure makes the target equal measure(c), which is
-    stored in the report's theoretical field.
-    """
-    return _cylinder_mc(spec, c, n_samples, seed, preimage=True, threads=threads)
-
-
-def membership_mc(
-    spec: SystemSpec, c: ProductCylinder, n_samples: int, seed: int, threads: int = 1
-) -> StatReport:
-    """Estimate the measure of a cylinder directly (no dynamics)."""
-    return _cylinder_mc(spec, c, n_samples, seed, preimage=False, threads=threads)
 
 
 @dataclass(frozen=True)

@@ -632,11 +632,3 @@ def parse_rational(s: str) -> Fraction:
         raise ValueError(f"expected ASCII decimal 'num/den' or 'num', got {s!r}")
     return Fraction(int(num), int(den)) if sep else Fraction(int(num))
 
-
-def format_approx(x: PadicApprox) -> str:
-    if x.is_exact_zero:
-        return f"p={x.ctx.p};ord=inf;digits=;prec=inf"
-    ord_s = "?" if x.is_zero_at_precision else str(x._lo)
-    digits_s = ",".join(str(d) for d in x.digits)
-    return f"p={x.ctx.p};ord={ord_s};digits={digits_s};prec={x.abs_prec}"
-

@@ -1,9 +1,10 @@
-"""Value-typed oracles and random generators for the tests.
+"""Value-typed oracles, random generators and text forms for the tests.
 
 The package computes on integers: `cfsystems.step_core`, the integer branch
-matrices of `convergents`, `lft.preimage_cylinder`.  The functions here
-compute the same things the slow way, on exact values (and on `PadicApprox`
-through its public operators), so the tests can compare the two.  Nothing in
+slots of `convergents`, `lft.preimage_cylinder`, the cylinder Monte Carlo
+`ergodics.invariance_mc`.  The functions here compute the same things the
+slow way, on exact values (and on `PadicApprox` through its public
+operators and accessors), so the tests can compare the two.  Nothing in
 `src/padic_cf` calls them.
 """
 
@@ -14,15 +15,20 @@ from fractions import Fraction
 
 from padic_cf import (
     DivisionByZeroAtPrecision,
+    ExpansionTerminated,
     LftParams,
+    PadicApprox,
+    PrecisionExhausted,
     PrimeCtx,
     ProductCylinder,
     SystemSpec,
     certify_hyperbolic,
     enumerate_branches,
     norm,
+    step,
     valuation,
 )
+from padic_cf.cfsystems import _branch_slots
 
 
 def vector_norm(xs, ctx: PrimeCtx) -> Fraction:
@@ -175,3 +181,54 @@ def random_word(
         iota_bound = spec.ctx.p ** 4
     branches = enumerate_branches(spec, iota_bound)
     return tuple(rng.choice(branches)[0] for _ in range(length))
+
+
+def format_approx(x: PadicApprox) -> str:
+    """The text of a PadicApprox, as in p=2;ord=1;digits=1,1,0,1,0;prec=6:
+    ord=inf for the exact zero, ord=? when every known digit is zero."""
+    if x.is_exact_zero:
+        return f"p={x.ctx.p};ord=inf;digits=;prec=inf"
+    ord_s = "?" if x.is_zero_at_precision else str(x.valuation())
+    digits_s = ",".join(str(d) for d in x.digits)
+    return f"p={x.ctx.p};ord={ord_s};digits={digits_s};prec={x.abs_prec}"
+
+
+def _branch_matrix(spec: SystemSpec, d):
+    """The dense (m+1)x(m+1) integer matrix of cfsystems._branch_slots(spec,
+    d): entry [i][0] is top, and slot t gives entries [k][0] = e0 and
+    [k][t] = et.  It is inverse_matrix(branch_lft(spec, d)) times the lcm of
+    its denominators."""
+    m = spec.m
+    top, slots = _branch_slots(spec, d)
+    rows = [[0] * (m + 1) for _ in range(m + 1)]
+    rows[d.pivot][0] = top
+    for t, (k, e0, et) in enumerate(slots, 1):
+        rows[k][0] = e0
+        rows[k][t] = et
+    return rows
+
+
+def _haar_point(rng, ctx, m, n_digits):
+    """haar_sample_vector's point, drawn here with rng.randrange so that the
+    reference loops stay independent of the generator the package draws with."""
+    return tuple(
+        PadicApprox(ctx, 1, rng.randrange(ctx.p**n_digits), n_digits + 1) for _ in range(m)
+    )
+
+
+def _reference_mc(spec, c, n_samples, seed, preimage):
+    """(hits, done) of one shard of invariance_mc (preimage) or of the direct
+    estimate of measure(c) (not preimage), written with the value types:
+    Haar samples, step and ProductCylinder.contains, dropping samples that
+    raise."""
+    rng = random.Random(seed)
+    hits = done = 0
+    for _ in range(n_samples):
+        x = _haar_point(rng, spec.ctx, spec.m, max(c.levels) + 48)
+        try:
+            inside = c.contains(step(spec, x)[1] if preimage else x)
+        except (PrecisionExhausted, ExpansionTerminated):
+            continue
+        hits += inside
+        done += 1
+    return hits, done

@@ -40,13 +40,12 @@ from padic_cf.cfsystems import (
     ONE_DIM,
     RUNNING,
     TERMINATED,
-    _branch_matrix,
     digit_from_obj,
     digit_to_obj,
     expansion_records,
     step_core,
 )
-from reference import apply_forward, inverse_matrix
+from reference import _branch_matrix, apply_forward, inverse_matrix
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)

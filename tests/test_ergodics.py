@@ -37,7 +37,6 @@ from padic_cf import (
     iota,
     iota_sum,
     measure,
-    membership_mc,
     mixing_exact,
     preimage_cylinder,
     random_cylinder,
@@ -45,7 +44,7 @@ from padic_cf import (
     valuation,
 )
 from padic_cf.ergodics import StatReport, _run_sharded
-from reference import random_word
+from reference import _reference_mc, random_word
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)
@@ -392,12 +391,11 @@ class TestBirkhoff:
 
 
 @pytest.mark.parametrize("n_samples", [0, -5])
-@pytest.mark.parametrize("check", ["invariance", "membership", "digit-means"])
+@pytest.mark.parametrize("check", ["invariance", "digit-means"])
 def test_sample_count_below_one(check, n_samples):
     c = ProductCylinder((Ball(P2, Fraction(2), 3),))
     run = {
         "invariance": lambda: invariance_mc(SystemSpec.schneider(P2), c, n_samples, seed=1),
-        "membership": lambda: membership_mc(SystemSpec.schneider(P2), c, n_samples, seed=1),
         "digit-means": lambda: digit_mean_reports(SystemSpec.schneider(P3), n_samples, 3, seed=1),
     }[check]
     with pytest.raises(ValueError, match=f"^n_samples must be at least 1, got {n_samples}$"):
@@ -430,9 +428,12 @@ class TestInvarianceMC:
         for idx in range(3):
             c = random_cylinder(rng, P2, 2, max_level=2)
             pre = invariance_mc(s, c, 4000, seed=100 + idx)
-            direct = membership_mc(s, c, 4000, seed=900 + idx)
-            tol = 4 * math.hypot(pre.stderr, direct.stderr)
-            assert abs(pre.estimate - direct.estimate) <= tol
+            # the fraction of 4,000 Haar samples in c itself, with no step
+            hits, done = _reference_mc(s, c, 4000, 900 + idx, preimage=False)
+            direct = hits / done
+            direct_stderr = math.sqrt(direct * (1 - direct) / done)
+            tol = 4 * math.hypot(pre.stderr, direct_stderr)
+            assert abs(pre.estimate - direct) <= tol
 
     @pytest.mark.parametrize(
         "every,done,n_samples,seed",
@@ -503,10 +504,9 @@ class TestInvarianceMC:
         # on the same seeds both harnesses report the same estimates
         c = ProductCylinder((Ball(P3, Fraction(3), 2),))
         spec, one_dim = make_spec(P3), same_as(P3)
-        for mc in (invariance_mc, membership_mc):
-            rep = mc(spec, c, 3000, seed=12)
-            assert rep == mc(one_dim, c, 3000, seed=12)
-            assert rep.n_samples == 3000 and rep.within(4.0)
+        rep = invariance_mc(spec, c, 3000, seed=12)
+        assert rep == invariance_mc(one_dim, c, 3000, seed=12)
+        assert rep.n_samples == 3000 and rep.within(4.0)
 
     def test_integer_membership_keeps_ball_order(self):
         # x_1 = 10 + O(2^4) misses the ball 0~2; x_2 = O(2^3) agrees with the
@@ -565,13 +565,9 @@ class TestShardPool:
         rng = random.Random(12)
         jp = SystemSpec.jacobi_perron(P2, 2)
         c2 = random_cylinder(rng, P2, 2, max_level=2)
-        c1 = ProductCylinder((Ball(P2, Fraction(2), 3),))
         runs = {
             # 25,000 samples are 3 shards of at most 10,000
             "invariance": lambda t: invariance_mc(jp, c2, 25_000, seed=31, threads=t),
-            "membership": lambda t: membership_mc(
-                SystemSpec.schneider(P2), c1, 25_000, seed=32, threads=t
-            ),
             # 600 samples are 3 shards of at most 250
             "digit-means": lambda t: digit_mean_reports(
                 SystemSpec.schneider(P3), 600, 10, seed=33, threads=t

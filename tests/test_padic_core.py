@@ -21,7 +21,6 @@ from padic_cf import (
     DivisionByZeroAtPrecision,
     ProductCylinder,
     digit_expand,
-    format_approx,
     format_rational,
     haar_sample,
     haar_sample_vector,
@@ -34,6 +33,7 @@ from padic_cf import (
 from padic_cf import padic_core
 from padic_cf.cfsystems import digit_class
 from padic_cf.padic_core import _digit_form, _intval
+from reference import format_approx
 
 P2 = PrimeCtx(2)
 P3 = PrimeCtx(3)

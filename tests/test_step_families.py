@@ -58,12 +58,10 @@ from padic_cf import (
     enumerate_branches,
     expand,
     expansion_records,
-    format_approx,
     format_rational,
     haar_sample,
     haar_sample_vector,
     invariance_mc,
-    membership_mc,
     pivot_valuation,
     preimage_cylinder,
     random_cylinder,
@@ -72,7 +70,13 @@ from padic_cf import (
 )
 from padic_cf import ergodics
 from padic_cf.cfsystems import digit_to_obj, step_core
-from reference import apply_forward, random_hyperbolic
+from reference import (
+    _haar_point,
+    _reference_mc,
+    apply_forward,
+    format_approx,
+    random_hyperbolic,
+)
 
 DIGESTS = Path(__file__).parent / "golden" / "step_digests.txt"
 
@@ -333,30 +337,6 @@ def test_integer_sample_path_matches_step_and_contains(name, make, p):
     assert {True, False, "PrecisionExhausted"} <= seen
 
 
-def _haar_point(rng, ctx, m, n_digits):
-    """haar_sample_vector's point, drawn here with rng.randrange so that the
-    reference loops stay independent of the generator the package draws with."""
-    return tuple(
-        PadicApprox(ctx, 1, rng.randrange(ctx.p**n_digits), n_digits + 1) for _ in range(m)
-    )
-
-
-def _reference_mc(spec, c, n_samples, seed, preimage):
-    """(hits, done) of one shard, written with the value types: Haar samples,
-    step and ProductCylinder.contains, dropping samples that raise."""
-    rng = random.Random(seed)
-    hits = done = 0
-    for _ in range(n_samples):
-        x = _haar_point(rng, spec.ctx, spec.m, max(c.levels) + 48)
-        try:
-            inside = c.contains(step(spec, x)[1] if preimage else x)
-        except (PrecisionExhausted, ExpansionTerminated):
-            continue
-        hits += inside
-        done += 1
-    return hits, done
-
-
 @pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
 def test_cylinder_mc_matches_reference_loop(name, make, p):
     ctx = PrimeCtx(p)
@@ -365,12 +345,11 @@ def test_cylinder_mc_matches_reference_loop(name, make, p):
     for _ in range(2):
         c = random_cylinder(rng, ctx, spec.m, max_level=3)
         seed = rng.randrange(10**6)
-        for mc, preimage in ((invariance_mc, True), (membership_mc, False)):
-            rep = mc(spec, c, 300, seed)
-            hits, done = _reference_mc(spec, c, 300, seed, preimage)
-            est = Fraction(hits, done)
-            assert (rep.estimate, rep.n_samples) == (float(est), done)
-            assert rep.stderr == math.sqrt(float(est * (1 - est)) / done)
+        rep = invariance_mc(spec, c, 300, seed)
+        hits, done = _reference_mc(spec, c, 300, seed, preimage=True)
+        est = Fraction(hits, done)
+        assert (rep.estimate, rep.n_samples) == (float(est), done)
+        assert rep.stderr == math.sqrt(float(est * (1 - est)) / done)
 
 
 @pytest.mark.parametrize("name,make,p", CASES, ids=CASE_IDS)
@@ -385,10 +364,9 @@ def test_cylinder_mc_matches_reference_loop_on_deep_cylinders(name, make, p):
     while max(c.levels) < 4:
         c = random_cylinder(rng, ctx, spec.m, max_level=6)
     seed = rng.randrange(10**6)
-    for mc, preimage in ((invariance_mc, True), (membership_mc, False)):
-        rep = mc(spec, c, 2000, seed)
-        hits, done = _reference_mc(spec, c, 2000, seed, preimage)
-        assert (rep.estimate, rep.n_samples) == (hits / done, done), mc
+    rep = invariance_mc(spec, c, 2000, seed)
+    hits, done = _reference_mc(spec, c, 2000, seed, preimage=True)
+    assert (rep.estimate, rep.n_samples) == (hits / done, done)
 
 
 def test_cylinder_mc_keys_zero_draws(monkeypatch):
@@ -408,14 +386,13 @@ def test_cylinder_mc_keys_zero_draws(monkeypatch):
             ctx = PrimeCtx(p)
             spec = make(ctx)
             c = random_cylinder(random.Random(f"zero/{name}/p{p}"), ctx, spec.m, max_level=3)
-            for mc, preimage in ((invariance_mc, True), (membership_mc, False)):
-                hits, done = _reference_mc(spec, c, 200, 7, preimage)
-                if 2 * done < 200:
-                    with pytest.raises(InsufficientData):
-                        mc(spec, c, 200, 7)
-                    continue
-                rep = mc(spec, c, 200, 7)
-                assert (rep.estimate, rep.n_samples) == (hits / done, done), (name, p, mc)
+            hits, done = _reference_mc(spec, c, 200, 7, preimage=True)
+            if 2 * done < 200:
+                with pytest.raises(InsufficientData):
+                    invariance_mc(spec, c, 200, 7)
+                continue
+            rep = invariance_mc(spec, c, 200, 7)
+            assert (rep.estimate, rep.n_samples) == (hits / done, done), (name, p)
 
 
 def _reference_digit_means(spec, n_samples, n_steps, seed, precision):
@@ -496,14 +473,13 @@ def test_digit_means_count_the_orbits_that_stop_early():
         assert (rep.n_samples, rep.n_dropped) == (n_samples, stopped)
 
 
-def _raises_on_unit_3_mod_4(fn, at):
-    """fn, raising PrecisionExhausted instead when coordinate 1 of its point
-    argument args[at], the triple (lo, unit, prec) of 2**lo * unit, has a unit
-    whose odd part is 3 mod 4: a function of the coordinate's valuation and
-    the two digits above it, which every sample sharing them shares."""
+def _raises_on_unit_3_mod_4(fn, unit_of):
+    """fn, raising PrecisionExhausted instead when unit_of(args), an integer
+    2**v * u, has u = 3 mod 4: a function of the valuation of coordinate 1's
+    unit and the two digits above it, which every sample sharing them shares."""
 
     def wrapper(*args):
-        _, unit, _ = args[at][0]
+        unit = unit_of(args)
         if unit and unit // (unit & -unit) % 4 == 3:
             raise PrecisionExhausted("forced")
         return fn(*args)
@@ -512,33 +488,34 @@ def _raises_on_unit_3_mod_4(fn, at):
 
 
 def test_cylinder_mc_counts_the_samples_it_drops(monkeypatch):
-    # at max(levels) + 48 digits no sample drops on its own, so the step
-    # (invariance) or the membership test (membership) raises for about half
-    # the samples, those whose coordinate 1 has unit 3 mod 4, however often
-    # either is called
+    # at max(levels) + 48 digits no sample drops on its own, so the step or
+    # the membership test of the image raises for about half the samples,
+    # those whose coordinate 1 has unit 3 mod 4, however often either is
+    # called: the step reads that unit, and the image's denominator x0' is
+    # its odd part
     ctx = PrimeCtx(2)
     spec = SystemSpec.jacobi_perron(ctx, 2)
     c = random_cylinder(random.Random(43), ctx, 2, max_level=3)
     n_digits = max(c.levels) + 48
-    for mc, module, name, at in (
-        (invariance_mc, ergodics, "step_core", 2),  # step_core(spec, x0, point)
-        (membership_mc, ProductCylinder, "contains_digits", 1),  # (self, point, x0)
+    # the same draws in an independent loop on the value types
+    draw = random.Random(44).randrange
+    hits = done = 0
+    for _ in range(300):
+        units = [draw(2**n_digits) for _ in range(2)]
+        if units[0] // (units[0] & -units[0]) % 4 == 3:
+            continue
+        x = tuple(PadicApprox(ctx, 1, u, n_digits + 1) for u in units)
+        hits += c.contains(step(spec, x)[1])
+        done += 1
+    assert 100 < done < 200
+    for module, name, unit_of in (
+        (ergodics, "step_core", lambda args: args[2][0][1]),  # (spec, x0, point)
+        (ProductCylinder, "contains_digits", lambda args: args[2]),  # (self, point, x0)
     ):
-        # the same draws in an independent loop on the value types
-        draw = random.Random(44).randrange
-        hits = done = 0
-        for _ in range(300):
-            units = [draw(2**n_digits) for _ in range(2)]
-            if units[0] // (units[0] & -units[0]) % 4 == 3:
-                continue
-            x = tuple(PadicApprox(ctx, 1, u, n_digits + 1) for u in units)
-            hits += c.contains(step(spec, x)[1] if mc is invariance_mc else x)
-            done += 1
-        assert 100 < done < 200
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, _raises_on_unit_3_mod_4(getattr(module, name), at))
-            rep = mc(spec, c, 300, seed=44)
-        assert (rep.n_samples, rep.n_dropped, rep.estimate) == (done, 300 - done, hits / done), mc
+            patch.setattr(module, name, _raises_on_unit_3_mod_4(getattr(module, name), unit_of))
+            rep = invariance_mc(spec, c, 300, seed=44)
+        assert (rep.n_samples, rep.n_dropped, rep.estimate) == (done, 300 - done, hits / done), name
 
 
 # -- accepted digits give hyperbolic branches ----------------------------------

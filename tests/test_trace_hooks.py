@@ -76,3 +76,20 @@ def test_traced_convergents_round_trip_matches_untraced(monkeypatch):
         spans[layer] = spans.get(layer, 0) + count
     assert spans.get("cli.parse", 0) > 0 and spans.get("cli.format", 0) > 0
     assert tracer.counts()["cli.out_bytes"] == len(untraced.encode())
+
+
+def test_tracer_installed_after_a_run_wraps_argparse():
+    # the CLI caches its parser; a tracer installed after an untraced run
+    # must still see parse_args, which perfbench's traced pass relies on
+    argv = ["branches", "--p", "2", "--system", "schneider", "--bound", "2^3"]
+    assert padic_cf.cli.main(argv, out=io.StringIO()) == 0
+    before = _namespaces()
+    tracer = _load_spans().Tracer()
+    try:
+        tracer.install(padic_cf)
+        assert padic_cf.cli.main(argv, out=io.StringIO()) == 0
+    finally:
+        tracer.uninstall()
+    assert _namespaces() == before
+    stats = tracer.layer_stats().items()
+    assert sum(count for (layer, _), (count, _) in stats if layer == "cli.parse") > 0
