@@ -44,6 +44,7 @@ from .padic_core import (
     PrimeCtx,
     _digit_form,
     _fraction,
+    _haar,
     _intval,
     _inv_unit,
     as_fraction,
@@ -432,7 +433,7 @@ def branch_lft(spec: SystemSpec, d) -> LftParams:
     """The branch transformation determined by a digit; always hyperbolic."""
     pivot_valuation(spec, d)  # validates
     p = spec.ctx.p
-    pvec = tuple([p**r for r in d.pexp])
+    pvec = tuple([_haar(p, -r) for r in d.pexp])
     return LftParams(spec.ctx, spec.m, d.pivot, spec.sigma, pvec, d.qvec)
 
 

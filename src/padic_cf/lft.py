@@ -26,6 +26,7 @@ from .padic_core import (
     Ball,
     PrimeCtx,
     ProductCylinder,
+    _haar,
     _intval,
     as_fraction,
     format_rational,
@@ -99,7 +100,8 @@ def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
     the failing condition number otherwise."""
     ctx = f.ctx
     pord = [valuation(v, ctx) for v in f.pvec]
-    if any(o < 0 for o in pord):
+    low = min(pord)
+    if low < 0:
         raise NotHyperbolicError(1, "some ord(p_k) < 0")
     s = f.s
     qord = [valuation(q, ctx) for q in f.qvec]  # q_k = 0 reads +inf
@@ -121,8 +123,7 @@ def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
             # ord(q_k) > 0, including q_k = 0 (whose ord is +inf)
             if (v + u) - ak <= 0:
                 raise NotHyperbolicError(4, f"coordinate {k}")
-    h = max(v - o for o in pord)
-    return HyperbolicCert(u, v, h)
+    return HyperbolicCert(u, v, v - low)
 
 
 def _certified(f: LftParams) -> HyperbolicCert:
@@ -147,7 +148,7 @@ def iota(f: LftParams) -> Fraction:
     for k in range(1, f.m + 1):
         if k != s:
             expo -= valuation(f.pvec[k - 1], ctx)
-    return Fraction(ctx.p**expo)
+    return _haar(ctx.p, -expo)
 
 
 def apply_inverse(f: LftParams, ys) -> tuple:
@@ -231,7 +232,8 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
     centre x * w_k, w_k = (c_t + q_t) / p_t, at coordinate k != i,
     t = sigma^-1(k): all p-integral, so built as (a_k + b_k * y) mod p**level
     from _reduced(f)'s integers, with one modular inverse per coordinate.
-    The pieces' balls are in digit form, with no Fraction centre built.
+    Piece 0 is built from the a_k directly, and the steps b_k only when
+    h > 0.  The pieces' balls are in digit form, with no Fraction centre built.
     """
     s, num, lin, const, e, count, parts = _reduced(f)
     if c.m != f.m:
@@ -241,17 +243,22 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
     if p != ctx.p:
         raise ValueError("cylinder and branch must share one prime")
     unit = lin * centres[s] + const  # base = num / unit, a p-adic unit
-    pe = p ** (n + e)
-    coords = []
+    ball = Ball._from_residue
+    first, steps = [], []
     for off, t, lin_t, const_t, pp, r in parts:
         level = n + off
         mod = p**level
         w = lin_t * centres[t] + const_t  # w_k = w / (pp * r)
         inv = pow(unit * r, -1, mod)
-        coords.append((level, mod, num * w // pp * inv % mod, pe * w // pp * unit * inv % mod))
-    piece, ball = ProductCylinder._of, Ball._from_residue
-    return [
-        piece(tuple([ball(ctx, (a + b * y) % mod, level) for level, mod, a, b in coords]))
-        for y in range(count)
-    ]
-
+        a = num * w // pp * inv % mod
+        first.append(ball(ctx, a, level))
+        if count > 1:
+            steps.append((level, mod, a, p ** (n + e) * w // pp * unit * inv % mod))
+    piece = ProductCylinder._of
+    pieces = [piece(tuple(first))]
+    if count > 1:
+        pieces += [
+            piece(tuple([ball(ctx, (a + b * y) % mod, level) for level, mod, a, b in steps]))
+            for y in range(1, count)
+        ]
+    return pieces

@@ -498,7 +498,7 @@ class ProductCylinder:
         """ProductCylinder(balls) for a non-empty tuple of balls known to
         share one prime, unchecked."""
         c = object.__new__(cls)
-        object.__setattr__(c, "balls", balls)
+        c.__dict__["balls"] = balls  # filled in place, like Ball._from_residue
         return c
 
     @property
@@ -537,21 +537,26 @@ class ProductCylinder:
 
 @lru_cache(maxsize=256)
 def _haar(p: int, k: int) -> Fraction:
-    """Fraction(1, p**k), one shared value per (p, k) while it stays cached."""
-    return Fraction(1, p**k)
+    """Fraction p**-k, one shared value per (p, k) while it stays cached: for
+    k >= 0 the measure of a level-(k+1) ball, for k < 0 the power of p that
+    branch p-vectors and iota share."""
+    return _fraction(p, -k, 1)
 
 
 def measure(obj) -> Fraction:
     """Haar measure normalised so that a level-1 ball has measure 1.
 
     A level-n ball has measure p**(1-n); a product cylinder multiplies over
-    coordinates.  Equal measures are one shared Fraction, from a bounded
-    cache on (p, exponent).
+    coordinates.  Equal measures are one shared Fraction, from _haar.
     """
+    if isinstance(obj, ProductCylinder):
+        balls = obj.balls
+        k = -len(balls)
+        for b in balls:
+            k += b.level
+        return _haar(balls[0].ctx.p, k)
     if isinstance(obj, Ball):
         return _haar(obj.ctx.p, obj.level - 1)
-    if isinstance(obj, ProductCylinder):
-        return _haar(obj.ctx.p, sum(b.level - 1 for b in obj.balls))
     raise TypeError(f"cannot measure {type(obj).__name__}")
 
 

@@ -450,6 +450,28 @@ class TestEnumerateBranches:
                 certify_hyperbolic(f)  # raises unless hyperbolic
                 assert branch_lft(spec, d) == f
 
+    def test_shared_powers_match_their_prime(self):
+        # pvec entries and iota are shared p-power Fractions.  Branches of
+        # p = 2 and p = 3 alternate, with the same exponents on both sides, so
+        # a value cached on the exponent alone hands one prime's power to the
+        # other.
+        def rows(ctx):
+            for spec in (SystemSpec.schneider(ctx), SystemSpec.multi_dim(ctx, 0, 2)):
+                yield from enumerate_branches(spec, ctx.p**8)
+
+        alternating = [row for pair in zip(rows(P2), rows(P3)) for row in pair]
+        assert {f.ctx.p for _, f in alternating} == {2, 3}
+        shared = {}
+        for d, f in alternating:
+            p = f.ctx.p
+            cert = certify_hyperbolic(f)
+            e = f.m * cert.v + (f.m + 1) * cert.u
+            e -= sum(valuation(f.pvec[k], f.ctx) for k in range(f.m) if k != f.s - 1)
+            values = [(r, x) for r, x in zip(d.pexp, f.pvec)] + [(e, iota(f))]
+            for r, x in values:
+                assert type(x) is Fraction and x == Fraction(p**r)
+                assert shared.setdefault((p, r), x) is x
+
     def test_partial_sums_increase_toward_one(self):
         s = SystemSpec.ruban(P2)
         sums = []
