@@ -30,6 +30,7 @@ from .cfsystems import (
     SystemSpec,
     branch_counts,
     branch_lft,
+    pivot_valuation,
     step_core,
 )
 from .errors import (
@@ -61,7 +62,7 @@ class SymbolicCylinder:
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))
         for d in self.word:
-            branch_lft(self.system, d)  # validates
+            pivot_valuation(self.system, d)  # validates
 
     def __len__(self):
         return len(self.word)

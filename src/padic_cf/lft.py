@@ -11,9 +11,11 @@ factor 1/p, and give it a constant Jacobian with respect to Haar measure.
 
 This module is the exact-measure side of a branch: its parameters, the
 hyperbolicity certificate, the Jacobian factor iota, the inverse branch on
-exact vectors and the exact preimage of a cylinder.  Forward evaluation, the
-rational inverse matrix and random branches are test oracles, kept in
-tests/reference.py.
+exact vectors and the exact preimage of a cylinder.  Certifying a branch
+reads each ord(p_k) and ord(q_k) once and keeps one record on it, from which
+iota and preimage_cylinder read every exponent and integer they need.
+Forward evaluation, the rational inverse matrix and random branches are test
+oracles, kept in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .padic_core import (
     PrimeCtx,
     ProductCylinder,
     _haar,
-    _intval,
     as_fraction,
     format_rational,
     valuation,
@@ -97,7 +98,17 @@ class HyperbolicCert:
 
 def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
     """Check the four hyperbolicity conditions; raise NotHyperbolicError with
-    the failing condition number otherwise."""
+    the failing condition number otherwise.
+
+    The same pass, which reads each ord(p_k) and ord(q_k) once, builds f's
+    record (see _record) and keeps it on f (not a field), so it is freed with
+    f.  It is kept only once every condition holds: a non-hyperbolic f keeps
+    nothing and raises on every call.
+
+    Writing n/d for numerators and denominators, p_k/(x + q_k) is
+    N_k/(A_k*x + C_k) with N_k = pn_k*qd_k, A_k = pd_k*qd_k, C_k = pd_k*qn_k,
+    and ord(N_k) = ord(p_k) - min(ord(q_k), 0) once ord(p_k) >= 0.
+    """
     ctx = f.ctx
     pord = [valuation(v, ctx) for v in f.pvec]
     low = min(pord)
@@ -111,29 +122,45 @@ def certify_hyperbolic(f: LftParams) -> HyperbolicCert:
     v = pord[s - 1]
     if v + u <= 0:
         raise NotHyperbolicError(2, "ord(p_s/q_s) > 0 required")
+    p, h = ctx.p, v - low
+    coords = [(v + 2 * u + h, 0, 0, 1, 1, 1)] * f.m  # the pivot's; the rest are set below
     for k in range(1, f.m + 1):
         if k == s:
             continue
         ak = pord[k - 1]
-        bk = qord[k - 1]
-        if bk <= 0:
-            if (v + u) - (ak - bk) <= 0:
-                raise NotHyperbolicError(3, f"coordinate {k}")
-        else:
-            # ord(q_k) > 0, including q_k = 0 (whose ord is +inf)
-            if (v + u) - ak <= 0:
-                raise NotHyperbolicError(4, f"coordinate {k}")
-    return HyperbolicCert(u, v, v - low)
-
-
-def _certified(f: LftParams) -> HyperbolicCert:
-    """f's certificate: certified once and kept on f (not a field), so it is
-    freed with f; a non-hyperbolic f raises on every call."""
-    cert = getattr(f, "_cert", None)
-    if cert is None:
-        cert = certify_hyperbolic(f)
-        object.__setattr__(f, "_cert", cert)
+        nord = ak - min(qord[k - 1], 0)  # ord(N_k)
+        if v + u <= nord:
+            # (iii) for ord(q_k) <= 0, else (iv), q_k = 0 included
+            raise NotHyperbolicError(3 if qord[k - 1] <= 0 else 4, f"coordinate {k}")
+        x, q = f.pvec[k - 1], f.qvec[k - 1]
+        pd, qd = x.denominator, q.denominator
+        pp = p**nord
+        num = x.numerator * qd
+        coords[f.sigma[k - 1] - 1] = (v + u - ak, k - 1, pd * qd, pd * q.numerator, pp, num // pp)
+    x, q = f.pvec[s - 1], f.qvec[s - 1]
+    pd, qd = x.denominator, q.denominator
+    cert = HyperbolicCert(u, v, h)
+    expo = f.m * v + (f.m + 1) * u - (sum(pord) - v)
+    pivot = (x.numerator * qd, pd * qd, pd * q.numerator)
+    object.__setattr__(f, "_rec", (cert, expo, s - 1, *pivot, v + 2 * u, p**h, tuple(coords)))
     return cert
+
+
+def _record(f: LftParams) -> tuple:
+    """f's record, made by certify_hyperbolic on f's first iota,
+    apply_inverse or preimage_cylinder call.
+
+    It is (cert, e, s-1, N_s, A_s, C_s, v+2u, p**h, coords) with iota(f) =
+    p**e, where coordinate k has (level - n, t-1, A_t, C_t, p**P_t, R_t),
+    t = sigma^-1(k) and N_t = p**P_t * R_t with R_t prime to p, so that
+    (x + q_t)/p_t = (A_t*x + C_t)/N_t; the pivot has A = 0 and
+    C = p**P = R = 1, for the factor 1.  None of it depends on a cylinder.
+    """
+    rec = getattr(f, "_rec", None)
+    if rec is None:
+        certify_hyperbolic(f)
+        rec = f._rec
+    return rec
 
 
 def iota(f: LftParams) -> Fraction:
@@ -141,14 +168,7 @@ def iota(f: LftParams) -> Fraction:
 
     1/iota is the Haar measure of the branch's first-digit cylinder.
     """
-    cert = _certified(f)
-    ctx = f.ctx
-    s = f.s
-    expo = f.m * cert.v + (f.m + 1) * cert.u
-    for k in range(1, f.m + 1):
-        if k != s:
-            expo -= valuation(f.pvec[k - 1], ctx)
-    return _haar(ctx.p, -expo)
+    return _haar(f.ctx.p, -_record(f)[1])
 
 
 def apply_inverse(f: LftParams, ys) -> tuple:
@@ -157,7 +177,7 @@ def apply_inverse(f: LftParams, ys) -> tuple:
     Hyperbolicity makes this total there, with every output coordinate back
     in p*Z_p.
     """
-    _certified(f)
+    _record(f)
     if len(ys) != f.m:
         raise ValueError("dimension mismatch")
     if any(valuation(y, f.ctx) < 1 for y in ys):
@@ -175,43 +195,9 @@ def apply_inverse(f: LftParams, ys) -> tuple:
     return tuple(out)
 
 
-def _reduced(f: LftParams) -> tuple:
-    """f's integers for preimage_cylinder, reduced on f's first call and kept
-    on f like its certificate; they do not depend on the cylinder.
-
-    Writing n/d for numerators and denominators, p_k/(x + q_k) is
-    N_k/(A_k*x + C_k) with N_k = pn_k*qd_k, A_k = pd_k*qd_k, C_k = pd_k*qn_k.
-    Returns (s-1, N_s, A_s, C_s, v+2u, p**h, coords), where coordinate k has
-    (level - n, t-1, A_t, C_t, p**P_t, R_t), t = sigma^-1(k), so that
-    (x + q_t)/p_t = (A_t*x + C_t)/(p**P_t * R_t) with R_t prime to p; the
-    pivot has A = 0 and C = p**P = R = 1, for the factor 1.
-    """
-    red = getattr(f, "_red", None)
-    if red is None:
-        cert = _certified(f)
-        p = f.ctx.p
-        ints = [
-            (x.numerator * q.denominator, x.denominator * q.denominator, x.denominator * q.numerator)
-            for x, q in zip(f.pvec, f.qvec)
-        ]
-        coords = []
-        for k in range(1, f.m + 1):
-            if k == f.i:
-                coords.append((cert.v + 2 * cert.u + cert.h, 0, 0, 1, 1, 1))
-                continue
-            t = f.sigma_inv(k)
-            num, lin, const = ints[t - 1]
-            pp = p ** _intval(num, p)
-            off = cert.v + cert.u - valuation(f.pvec[t - 1], f.ctx)
-            coords.append((off, t - 1, lin, const, pp, num // pp))
-        red = (f.s - 1, *ints[f.s - 1], cert.v + 2 * cert.u, p**cert.h, tuple(coords))
-        object.__setattr__(f, "_red", red)
-    return red
-
-
 def _cylinder_ints(c: ProductCylinder) -> tuple:
     """(p, uniform level, integer ball centres) of c for preimage_cylinder,
-    read on its first call and kept on c like a branch's _reduced; nothing is
+    read on its first call and kept on c like a branch's record; nothing is
     kept when a check raises, so a bad cylinder raises on every call."""
     ints = getattr(c, "_ints", None)
     if ints is None:
@@ -231,11 +217,11 @@ def preimage_cylinder(f: LftParams, c: ProductCylinder) -> list[ProductCylinder]
     measure(c) / iota(f).  Piece y has pivot centre x = base + p**e * y and
     centre x * w_k, w_k = (c_t + q_t) / p_t, at coordinate k != i,
     t = sigma^-1(k): all p-integral, so built as (a_k + b_k * y) mod p**level
-    from _reduced(f)'s integers, with one modular inverse per coordinate.
+    from _record(f)'s integers, with one modular inverse per coordinate.
     Piece 0 is built from the a_k directly, and the steps b_k only when
     h > 0.  The pieces' balls are in digit form, with no Fraction centre built.
     """
-    s, num, lin, const, e, count, parts = _reduced(f)
+    _, _, s, num, lin, const, e, count, parts = _record(f)
     if c.m != f.m:
         raise ValueError("dimension mismatch")
     ctx = f.ctx

@@ -396,9 +396,9 @@ class TestCertificatePerBranch:
     @staticmethod
     def branch_and_cylinder(seed):
         rng = random.Random(seed)
-        f = random_hyperbolic(rng, P3, 2)
+        f = random_hyperbolic(rng, P3, 2)  # certified, so it keeps its record
         c = ProductCylinder((Ball(P3, Fraction(3), 2), Ball(P3, Fraction(6), 2)))
-        return f, c
+        return LftParams(f.ctx, f.m, f.i, f.sigma, f.pvec, f.qvec), c
 
     def test_iota_then_preimages_certify_once(self, counted):
         f, c = self.branch_and_cylinder(41)
@@ -425,9 +425,9 @@ class TestCertificatePerBranch:
         f, c = self.branch_and_cylinder(43)
         g, _ = self.branch_and_cylinder(43)
         assert preimage_cylinder(f, c) == preimage_cylinder(g, c)
-        red = lft._reduced(f)
-        assert lft._reduced(f) is red
-        assert lft._reduced(g) == red and lft._reduced(g) is not red
+        red = lft._record(f)
+        assert lft._record(f) is red
+        assert lft._record(g) == red and lft._record(g) is not red
         # kept on f, not in a cache that outlives it
         ref = weakref.ref(f)
         del f, red
@@ -435,16 +435,52 @@ class TestCertificatePerBranch:
         assert ref() is None
 
     def test_non_hyperbolic_raises_on_every_call(self, counted):
-        f = one_dim(P2, 1, 2)  # ord(q_s) = 1 > 0: condition (ii)
-        c = ProductCylinder((Ball(P2, Fraction(2), 2),))
+        # TestHyperbolicity's failing branches, one per condition; m = 2 has
+        # i = 1 and the cyclic sigma, so s = 2
+        sigma = (2, 1)
+        two = (Fraction(2), Fraction(2))
+        bad = {
+            1: one_dim(P2, Fraction(1, 2), 1),
+            2: one_dim(P2, 1, 2),  # ord(q_s) = 1 > 0
+            3: LftParams(P2, 2, 1, sigma, two, (Fraction(1), Fraction(1))),
+            4: LftParams(P2, 2, 1, sigma, two, (Fraction(0), Fraction(1))),
+        }
+        for condition, f in bad.items():
+            ys = (Fraction(2),) * f.m
+            c = ProductCylinder(tuple(Ball(P2, y, 2) for y in ys))
+            calls = [
+                lambda: certify_hyperbolic(f),
+                lambda: iota(f),
+                lambda: apply_inverse(f, ys),
+                lambda: preimage_cylinder(f, c),
+            ]
+            seen = set()
+            counted.clear()
+            for _ in range(3):
+                for call in calls:
+                    with pytest.raises(NotHyperbolicError) as exc:
+                        call()
+                    seen.add((exc.value.condition, str(exc.value)))
+            assert len(seen) == 1 and seen.pop()[0] == condition
+            assert len(counted) == 9  # the accessor certifies on every call
+            assert set(vars(f)) == {"ctx", "m", "i", "sigma", "pvec", "qvec"}
+
+    def test_later_calls_read_the_record_alone(self, monkeypatch):
+        from padic_cf import lft
+
+        f, c = self.branch_and_cylinder(47)
+        g, _ = self.branch_and_cylinder(47)
+        want = preimage_cylinder(g, c)
+        first = iota(f)
+
+        def unexpected(*args):
+            raise AssertionError("a valuation read after certification")
+
+        monkeypatch.setattr(lft, "valuation", unexpected)
+        monkeypatch.setattr(lft, "_intval", unexpected, raising=False)
         for _ in range(3):
-            with pytest.raises(NotHyperbolicError):
-                iota(f)
-            with pytest.raises(NotHyperbolicError):
-                apply_inverse(f, (Fraction(2),))
-            with pytest.raises(NotHyperbolicError):
-                preimage_cylinder(f, c)
-        assert len(counted) == 9
+            assert iota(f) == first
+            assert preimage_cylinder(f, c) == want
 
 
 class TestContraction:
